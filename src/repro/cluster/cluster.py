@@ -370,8 +370,11 @@ class Cluster:
 
         Victims come from one policy ``eviction_round`` per call: the
         ranking inputs cannot change while a store is in flight, so the
-        policy ranks the candidates once instead of re-sorting them per
-        eviction.  The round runs dry when its tier is exhausted (e.g. all
+        policy ranks the candidates once however many victims the call
+        needs.  On the paper workloads that is usually one, so each store
+        pays one ranking; the stock policies keep that cheap by reusing
+        the entries of candidates unchanged since the node's previous
+        round.  The round runs dry when its tier is exhausted (e.g. all
         unpinned slots evicted); the node is then re-consulted, which is
         how the pinned-slots-as-last-resort fallback engages.
         """
@@ -470,10 +473,7 @@ class Cluster:
                     report.relocated.append(key)
                 else:
                     report.lost.append(key)
-            node.slots.clear()
-            node.protected.clear()
-            node.mem_used = 0
-            node._notify()
+            node.clear()
         else:
             report.reload, report.lost = node.fail_memory()
         self.trace.emit(
@@ -656,9 +656,8 @@ class Cluster:
     def reset(self) -> None:
         """Clear all datasets, metrics and the clock (cold start)."""
         for node in self.nodes:
-            node.slots.clear()
-            node.mem_used = 0
-            node.protected.clear()
+            node.observer = None  # the old registry keeps its last readings
+            node.clear()
         self._records.clear()
         self._dead.clear()
         self.busy_seconds = {}

@@ -56,12 +56,15 @@ class _RankedEvictionRound:
     Within one ``_ensure_space`` call nothing that feeds the ranking can
     change — ``acc`` (the master mutates consumers only between stages),
     ``last_access`` (no loads happen mid-store) and sizes are all frozen —
-    so the historical per-eviction re-sort recomputed identical values
-    ``k`` times for ``k`` evictions.  This round ranks once: victims pop
-    off a heap in ``O(log n)`` and each event's ranking snapshot is the
-    surviving candidates in their original (node-store) order, exactly
-    what a fresh ``ranking_snapshot`` over fresh ``eviction_candidates``
-    would have produced.
+    so a round ranks once and victims pop off a heap in ``O(log n)``.
+    Each event's ranking snapshot is the surviving candidates in their
+    original (node-store) order, exactly what a fresh
+    ``ranking_snapshot`` over fresh ``eviction_candidates`` would have
+    produced.  On the paper workloads a store usually needs one victim,
+    so a round rarely pops twice; what makes repeated rounds cheap is the
+    per-slot entry reuse in :meth:`MemoryPolicy._memo_round`.  The
+    first snapshot is the entries list itself: the round never mutates
+    it, and the trace may keep it.
     """
 
     def __init__(
@@ -70,25 +73,26 @@ class _RankedEvictionRound:
         entries: List[Dict[str, Any]],
         order_keys: List[Any],
     ):
+        # order keys end in the slot key, so they are unique per node and
+        # a popped key finds its candidate by identity in ``_keys``
         self._slots = list(candidates)
         self._entries = entries
-        self._alive = [True] * len(candidates)
-        self._heap = [(key, i) for i, key in enumerate(order_keys)]
+        self._keys = order_keys
+        self._heap = list(order_keys)
         heapq.heapify(self._heap)
+        self._alive: Optional[List[bool]] = None  # all alive before a pop
 
     def pop(self) -> Tuple[Optional[Slot], Optional[List[Dict[str, Any]]]]:
-        while self._heap:
-            _, i = heapq.heappop(self._heap)
-            if not self._alive[i]:  # pragma: no cover - victims leave via pop
-                continue
-            ranking = [
-                entry
-                for j, entry in enumerate(self._entries)
-                if self._alive[j]
-            ]
-            self._alive[i] = False
-            return self._slots[i], ranking
-        return None, None
+        if not self._heap:
+            return None, None
+        i = self._keys.index(heapq.heappop(self._heap))
+        if self._alive is None:
+            ranking = self._entries
+            self._alive = [True] * len(self._entries)
+        else:
+            ranking = [e for e, alive in zip(self._entries, self._alive) if alive]
+        self._alive[i] = False
+        return self._slots[i], ranking
 
 
 class MemoryPolicy:
@@ -144,15 +148,51 @@ class MemoryPolicy:
         only expose recency; AMM overrides this to expose the full
         ``pre(d)`` inputs.
         """
-        return [
-            {
-                "dataset": slot.dataset_id,
-                "index": slot.key[1],
-                "nbytes": slot.nbytes,
-                "last_access": slot.last_access,
-            }
-            for slot in candidates
-        ]
+        return [_recency_entry(slot) for slot in candidates]
+
+    def _memo_round(
+        self,
+        candidates: List[Slot],
+        token: Any,
+        access_counter: Optional[AccessCounter],
+        build: Callable[[Slot, Optional[int]], Tuple[Dict[str, Any], Any]],
+    ) -> _RankedEvictionRound:
+        """A ranked round that reuses each slot's cached entry and order key.
+
+        ``build(slot, acc)`` makes a candidate's ``(entry, order_key)``; the
+        pair is cached on the slot (``Slot.rank_memo``) and reused while the
+        slot object, ``acc(d)`` and ``last_access`` are unchanged and
+        ``token`` (this policy's binding) is the same, so an unchanged
+        candidate shares one entry dict across every eviction that ranks
+        it.  Entries are never mutated once built: the trace holds them.
+        ``acc`` cannot change within a round, so it is looked up once per
+        dataset.
+        """
+        entries: List[Dict[str, Any]] = []
+        keys: List[Any] = []
+        accs: Dict[str, Optional[int]] = {}
+        for slot in candidates:
+            dataset = slot.key[0]
+            if dataset in accs:
+                acc = accs[dataset]
+            else:
+                acc = accs[dataset] = (
+                    access_counter(dataset) if access_counter is not None else None
+                )
+            memo = slot.rank_memo
+            # identity for last_access: a touch rebinds it.  acc must also
+            # match in type, since 1 and 1.0 serialise differently
+            if (
+                memo is None
+                or memo[0] is not token
+                or memo[2] is not slot.last_access
+                or not (memo[1] is acc or (memo[1] == acc and type(memo[1]) is type(acc)))
+            ):
+                entry, key = build(slot, acc)
+                memo = slot.rank_memo = (token, acc, slot.last_access, entry, key)
+            entries.append(memo[3])
+            keys.append(memo[4])
+        return _RankedEvictionRound(candidates, entries, keys)
 
     def eviction_round(self, node: Node, candidates: List[Slot]):
         """Victim iterator for one ``_ensure_space`` call.
@@ -183,9 +223,7 @@ class LRUPolicy(MemoryPolicy):
             or type(self).ranking_snapshot is not MemoryPolicy.ranking_snapshot
         ):
             return super().eviction_round(node, candidates)
-        entries = self.ranking_snapshot(candidates)
-        keys = [(s.last_access, s.key) for s in candidates]
-        return _RankedEvictionRound(candidates, entries, keys)
+        return self._memo_round(candidates, self, None, _lru_rank)
 
 
 class AMMPolicy(MemoryPolicy):
@@ -202,10 +240,13 @@ class AMMPolicy(MemoryPolicy):
     def __init__(self):
         self._access_counter: Optional[AccessCounter] = None
         self._alpha: float = 1.0
+        #: identifies the binding cached ranking entries were built under
+        self._rank_token = object()
 
     def bind(self, access_counter: Optional[AccessCounter], alpha: float) -> None:
         self._access_counter = access_counter
         self._alpha = alpha
+        self._rank_token = object()
 
     def preference(self, slot: Slot) -> float:
         """The keep-in-memory preference ``pre(d)`` of one partition."""
@@ -231,17 +272,13 @@ class AMMPolicy(MemoryPolicy):
                 if self._access_counter is not None
                 else None
             )
-            out.append(
-                {
-                    "dataset": slot.dataset_id,
-                    "index": slot.key[1],
-                    "nbytes": slot.nbytes,
-                    "last_access": slot.last_access,
-                    "acc": acc,
-                    "pre": self.preference(slot),
-                }
-            )
+            out.append(_amm_entry(slot, acc, self.preference(slot)))
         return out
+
+    def _memo_rank(self, slot: Slot, acc: Optional[int]) -> Tuple[Dict[str, Any], Any]:
+        # the stock preference, from the acc already looked up
+        pre = (1 if acc is None else acc) * slot.nbytes * self._alpha
+        return _amm_entry(slot, acc, pre), (pre, slot.last_access, slot.key)
 
     def eviction_round(self, node: Node, candidates: List[Slot]):
         if (
@@ -249,9 +286,12 @@ class AMMPolicy(MemoryPolicy):
             or type(self).ranking_snapshot is not AMMPolicy.ranking_snapshot
         ):
             return super().eviction_round(node, candidates)
-        # one ranking pass feeds both the heap order and every event's
-        # snapshot: the per-eviction full re-sort (and its acc(d) lookups,
-        # O(n·k) on large nodes) collapses to heapify + O(log n) pops
+        if type(self).preference is AMMPolicy.preference:
+            return self._memo_round(
+                candidates, self._rank_token, self._access_counter, self._memo_rank
+            )
+        # an ablation's own pre(d): one ranking pass feeds both the heap
+        # order and every event's snapshot, without entry reuse
         entries = self.ranking_snapshot(candidates)
         keys = [
             (entry["pre"], slot.last_access, slot.key)
@@ -273,6 +313,26 @@ class AMMPolicy(MemoryPolicy):
         ]
         decorated.sort(key=lambda d: d[:3])
         return [d[3] for d in decorated]
+
+
+def _recency_entry(slot: Slot) -> Dict[str, Any]:
+    return {
+        "dataset": slot.dataset_id,
+        "index": slot.key[1],
+        "nbytes": slot.nbytes,
+        "last_access": slot.last_access,
+    }
+
+
+def _lru_rank(slot: Slot, acc: None) -> Tuple[Dict[str, Any], Any]:
+    return _recency_entry(slot), (slot.last_access, slot.key)
+
+
+def _amm_entry(slot: Slot, acc: Optional[int], pre: float) -> Dict[str, Any]:
+    entry = _recency_entry(slot)
+    entry["acc"] = acc
+    entry["pre"] = pre
+    return entry
 
 
 class AccessOnlyPolicy(AMMPolicy):

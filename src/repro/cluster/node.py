@@ -8,7 +8,7 @@ for the LRU policy and can be pinned (Spark ``cache()`` emulation).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 PartitionKey = Tuple[str, int]  # (dataset_id, partition_index)
@@ -31,6 +31,10 @@ class Slot:
     #: that stream it back are *eviction-induced reloads*, the cost AMM's
     #: preference weighs.  Cleared when the slot re-enters memory.
     evicted: bool = False
+    #: the memory policy's cached ranking entry for this slot (opaque to
+    #: the node; see ``repro.cluster.memory``).  A replaced slot is a new
+    #: object, so a stale entry can never outlive the bytes it describes.
+    rank_memo: Any = field(default=None, repr=False, compare=False)
 
     @property
     def dataset_id(self) -> str:
@@ -46,6 +50,9 @@ class Node:
         self.id = node_id
         self.mem_capacity = int(mem_capacity)
         self.slots: Dict[PartitionKey, Slot] = {}
+        #: the in-memory slots, in ``slots`` order: eviction queries read
+        #: this index instead of scanning disk-resident slots
+        self._in_memory: Dict[PartitionKey, Slot] = {}
         self.mem_used = 0
         #: keys that must not be evicted right now (inputs/outputs of the
         #: currently executing stage)
@@ -66,16 +73,21 @@ class Node:
         return self.slots[key]
 
     def in_memory_slots(self) -> List[Slot]:
-        return [s for s in self.slots.values() if s.in_memory]
+        return list(self._in_memory.values())
 
     def memory_datasets(self) -> set:
         """Dataset ids with at least one in-memory partition here (``μ(n)``)."""
-        return {s.dataset_id for s in self.slots.values() if s.in_memory}
+        return {key[0] for key in self._in_memory}
 
     def free_memory(self) -> int:
         return self.mem_capacity - self.mem_used
 
     # ------------------------------------------------------------ mutations
+    def _reindex(self) -> None:
+        """Rebuild the in-memory index after a slot re-entered memory at
+        its old ``slots`` position (promote, or a disk slot replaced)."""
+        self._in_memory = {k: s for k, s in self.slots.items() if s.in_memory}
+
     def put(self, key: PartitionKey, payload: Any, nbytes: int, now: float, in_memory: bool) -> Slot:
         """Insert or replace a slot; caller must have made space first."""
         existing = self.slots.get(key)
@@ -88,6 +100,13 @@ class Node:
         self.slots[key] = slot
         if in_memory:
             self.mem_used += slot.nbytes
+            if existing is None or existing.in_memory:
+                # a new key appends; a memory slot replaced keeps its place
+                self._in_memory[key] = slot
+            else:
+                self._reindex()
+        elif existing is not None and existing.in_memory:
+            del self._in_memory[key]
         self._notify()
         return slot
 
@@ -98,6 +117,7 @@ class Node:
             slot.in_memory = True
             slot.evicted = False
             self.mem_used += slot.nbytes
+            self._reindex()
             self._notify()
         slot.last_access = now
         return slot
@@ -107,6 +127,7 @@ class Node:
         slot = self.slots[key]
         if slot.in_memory:
             slot.in_memory = False
+            del self._in_memory[key]
             self.mem_used -= slot.nbytes
             self._notify()
         return slot
@@ -118,6 +139,7 @@ class Node:
         """Drop a slot entirely (dataset discarded); frees memory at no cost."""
         slot = self.slots.pop(key, None)
         if slot is not None and slot.in_memory:
+            del self._in_memory[key]
             self.mem_used -= slot.nbytes
             self._notify()
         return slot
@@ -135,35 +157,39 @@ class Node:
         """
         reloadable: List[PartitionKey] = []
         lost: List[PartitionKey] = []
-        for key, slot in list(self.slots.items()):
-            if not slot.in_memory:
-                continue
+        for key, slot in self._in_memory.items():
             if slot.checkpointed:
                 slot.in_memory = False
                 reloadable.append(key)
             else:
                 del self.slots[key]
                 lost.append(key)
+        self._in_memory = {}
         self.mem_used = 0
         self._notify()
         return reloadable, lost
+
+    def clear(self) -> None:
+        """Drop every slot and protection: the node holds nothing."""
+        self.slots.clear()
+        self._in_memory = {}
+        self.protected.clear()
+        self.mem_used = 0
+        self._notify()
 
     def eviction_candidates(self) -> List[Slot]:
         """In-memory, unprotected, unpinned slots — in eviction order the
         policy will rank.  Pinned slots are only offered when nothing else
         is evictable (a full cache must still make progress)."""
+        protected = self.protected
         unpinned = [
             s
-            for s in self.slots.values()
-            if s.in_memory and s.key not in self.protected and not s.pinned
+            for key, s in self._in_memory.items()
+            if not s.pinned and key not in protected
         ]
         if unpinned:
             return unpinned
-        return [
-            s
-            for s in self.slots.values()
-            if s.in_memory and s.key not in self.protected
-        ]
+        return [s for key, s in self._in_memory.items() if key not in protected]
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

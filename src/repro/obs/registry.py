@@ -40,7 +40,7 @@ from __future__ import annotations
 import bisect
 import contextlib
 import math
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 #: the default (engine) label dimensions, in canonical order
 LABEL_NAMES: Tuple[str, ...] = ("node", "branch", "stage", "dataset", "policy")
@@ -260,6 +260,9 @@ class MetricsRegistry:
         self.label_names: Tuple[str, ...] = tuple(label_names)
         self._families: Dict[str, Family] = {}
         self._context: List[Dict[str, str]] = []
+        #: ``_resolve`` memo keyed on ``(ambient, explicit label items)``;
+        #: cleared whenever the ambient context changes
+        self._resolved: Dict[Any, LabelValues] = {}
 
     # ------------------------------------------------------------ label context
     @contextlib.contextmanager
@@ -277,12 +280,30 @@ class MetricsRegistry:
                     f"unknown label {name!r} (allowed: {self.label_names})"
                 )
         self._context.append(frame)
+        self._resolved.clear()
         try:
             yield self
         finally:
             self._context.pop()
+            self._resolved.clear()
 
     def _resolve(self, explicit: Dict[str, Optional[str]], ambient: bool) -> LabelValues:
+        key = (ambient, tuple(explicit.items()))
+        try:
+            labels = self._resolved.get(key)
+        except TypeError:  # an unhashable label value
+            return self._resolve_uncached(explicit, ambient)
+        if labels is None:
+            labels = self._resolve_uncached(explicit, ambient)
+            # only str/None values are memoised: 1 and True hash alike but
+            # render as different label strings
+            if all(v is None or type(v) is str for v in explicit.values()):
+                self._resolved[key] = labels
+        return labels
+
+    def _resolve_uncached(
+        self, explicit: Dict[str, Optional[str]], ambient: bool
+    ) -> LabelValues:
         merged: Dict[str, str] = {}
         if ambient:
             for frame in self._context:
@@ -351,29 +372,34 @@ class MetricsRegistry:
         family = self._families.get(name)
         return dict(family.children) if family is not None else {}
 
-    def _matches(self, labels: LabelValues, where: Dict[str, str]) -> bool:
-        return all(
-            labels[self.label_names.index(name)] == value
-            for name, value in where.items()
-        )
+    def _matching(self, name: str, where: Dict[str, str]) -> Iterator[Any]:
+        """The children of one instrument whose labels match ``where``,
+        read in place (an unknown ``where`` label raises only when the
+        instrument has children to match)."""
+        family = self._families.get(name)
+        if family is None or not family.children:
+            return
+        if not where:
+            yield from family.children.values()
+            return
+        wanted = [(self.label_names.index(n), v) for n, v in where.items()]
+        for labels, instrument in family.children.items():
+            if all(labels[i] == v for i, v in wanted):
+                yield instrument
 
     def value(self, name: str, **where: str) -> float:
         """Sum of matching children (counter values / histogram sums)."""
         total = 0.0
-        for labels, instrument in self.series(name).items():
-            if not self._matches(labels, where):
-                continue
+        for instrument in self._matching(name, where):
             total += instrument.sum if instrument.kind == "histogram" else instrument.value
         return total
 
     def max_value(self, name: str, **where: str) -> float:
         """Maximum over matching children (peak gauges); 0.0 when empty."""
-        values = [
-            instrument.value
-            for labels, instrument in self.series(name).items()
-            if self._matches(labels, where)
-        ]
-        return max(values, default=0.0)
+        return max(
+            (instrument.value for instrument in self._matching(name, where)),
+            default=0.0,
+        )
 
     def aggregate(self, name: str, by: Tuple[str, ...]) -> Dict[Tuple[str, ...], float]:
         """Totals of one instrument grouped by a subset of label dimensions.

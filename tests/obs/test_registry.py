@@ -125,3 +125,62 @@ class TestRegistry:
 
     def test_label_names_fixed(self):
         assert LABEL_NAMES == ("node", "branch", "stage", "dataset", "policy")
+
+
+class TestLabelResolutionMemo:
+    """``_resolve`` is memoised; the memo must never change a label set."""
+
+    def test_context_push_and_pop_invalidate(self):
+        reg = MetricsRegistry()
+        reg.counter("c", node="w0").inc()
+        with reg.label_context(branch="b1"):
+            reg.counter("c", node="w0").inc()
+            with reg.label_context(branch="b2"):
+                reg.counter("c", node="w0").inc()
+            reg.counter("c", node="w0").inc()
+        reg.counter("c", node="w0").inc()
+        by_branch = reg.aggregate("c", ("node", "branch"))
+        assert by_branch == {("w0", ""): 2.0, ("w0", "b1"): 2.0, ("w0", "b2"): 1.0}
+
+    def test_unknown_label_raises_every_call(self):
+        reg = MetricsRegistry()
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                reg.counter("x", nope="y")
+
+    def test_unhashable_value_takes_the_slow_path(self):
+        reg = MetricsRegistry()
+        reg.counter("c", node=["w", 0]).inc()
+        reg.counter("c", node=["w", 0]).inc()
+        assert reg.value("c", node="['w', 0]") == 2.0
+
+    def test_equal_hashing_values_keep_their_own_labels(self):
+        # 1 == True and they hash alike, but render as different labels
+        reg = MetricsRegistry()
+        reg.counter("c", node=1).inc()
+        reg.counter("c", node=True).inc(2)
+        reg.counter("c", node="1").inc(4)
+        assert reg.value("c", node="1") == 5.0
+        assert reg.value("c", node="True") == 2.0
+
+
+class TestValueReads:
+    def test_unknown_where_label_only_raises_with_children(self):
+        reg = MetricsRegistry()
+        assert reg.value("missing", nope="x") == 0.0
+        reg.counter("c").inc()
+        with pytest.raises(ValueError):
+            reg.value("c", nope="x")
+        with pytest.raises(ValueError):
+            reg.max_value("c", nope="x")
+
+    def test_value_filters_on_every_given_label(self):
+        reg = MetricsRegistry()
+        reg.counter("c", node="w0", dataset="d1").inc(1)
+        reg.counter("c", node="w0", dataset="d2").inc(2)
+        reg.counter("c", node="w1", dataset="d1").inc(4)
+        assert reg.value("c", node="w0", dataset="d1") == 1.0
+        assert reg.value("c", dataset="d1") == 5.0
+        assert reg.value("c", node="w2") == 0.0
+        assert reg.max_value("c", dataset="d1") == 4.0
+        assert reg.max_value("c", node="w2") == 0.0

@@ -1,5 +1,5 @@
 """Command-line entry: ``python -m repro.bench [--validate] [--telemetry]
-[--wallclock] [--wallclock-backends] [--loadgen] [figure ...]``.
+[--wallclock] [--loadgen] [figure ...]``.
 
 Regenerates the requested tables/figures (all of them by default),
 printing the paper-style rows and the shape-check verdicts.  With
@@ -11,13 +11,10 @@ timelines, per-branch/node attribution, Prometheus and JSON expositions)
 — on its own it replaces the figure run.  With ``--wallclock``, runs the
 result-cache cold/warm wall-clock microbenchmark and writes
 ``BENCH_pr4.json`` — on its own it replaces the figure run.  With
-``--wallclock-backends``, runs the serial-vs-mp execution-backend
-comparison on the compute-dominated figures and writes ``BENCH_pr8.json``
-— on its own it replaces the figure run, and any simulated divergence
-between the backends fails the bench.  With ``--loadgen`` (or the
-CI-sized ``--loadgen-quick``), drives the multi-tenant job service with
-a mixed-tenant load and writes ``BENCH_pr10.json`` (per-tenant fairness
-shares, SLO attainment, replay-parity verdicts included) — on its own
+``--loadgen`` (or the CI-sized ``--loadgen-quick``), drives the
+multi-tenant job service with a mixed-tenant load and writes
+``BENCH_pr10.json`` (per-tenant fairness shares, SLO attainment,
+replay-parity verdicts included) — on its own
 it replaces the figure run, and any solo-run identity breach, validator
 violation, missing cross-tenant reuse, service replay-parity mismatch
 or fairness alert fails the bench.  With
@@ -86,19 +83,6 @@ def main(argv) -> int:
                 "no cross-tenant reuse, replay-parity mismatch, or "
                 "fairness alert"
             )
-            return 1
-        if not argv:
-            return 0
-    wallclock_backends = "--wallclock-backends" in argv
-    if wallclock_backends:
-        argv = [a for a in argv if a != "--wallclock-backends"]
-        from .parallel import render_backend_wallclock, run_backend_wallclock
-
-        report = run_backend_wallclock()
-        print(render_backend_wallclock(report))
-        print("wrote BENCH_pr8.json")
-        if not report["all_identical"]:
-            print("backend identity violation: mp diverged from serial")
             return 1
         if not argv:
             return 0

@@ -324,14 +324,6 @@ class Cluster:
         )
         return slot.payload, seconds, node.id
 
-    def peek_payloads(self, dataset_id: str) -> List[Any]:
-        """Read payloads without cost accounting (test/debug helper)."""
-        record = self._records[dataset_id]
-        out = []
-        for key, node_id in zip(record.partition_keys, record.partition_nodes):
-            out.append(self.node(node_id).slot(key).payload)
-        return out
-
     def materialize(self, dataset_id: str, producer: Optional[str] = None) -> Dataset:
         """Rebuild a :class:`Dataset` view over a registered dataset.
 

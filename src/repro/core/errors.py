@@ -39,9 +39,5 @@ class ExecutionError(MDFError):
         return (ExecutionError, (self.operator_name, self.message))
 
 
-class MemoryError_(MDFError):
-    """A partition cannot fit in node memory even after evicting everything."""
-
-
 class FaultError(MDFError):
     """An injected node failure could not be recovered from."""

@@ -35,12 +35,6 @@ class Scope:
     def closed(self) -> bool:
         return self.choose is not None
 
-    def branch_by_id(self, branch_id: str) -> Branch:
-        for branch in self.branches:
-            if branch.id == branch_id:
-                return branch
-        raise KeyError(branch_id)
-
     def __repr__(self) -> str:  # pragma: no cover
         choose = self.choose.name if self.choose else "<open>"
         return f"Scope({self.explore.name} -> {choose}, |branches|={len(self.branches)})"

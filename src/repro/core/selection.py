@@ -109,9 +109,6 @@ class _TopKSelector(IncrementalSelector):
         self.largest = largest
         self.kept: List[Tuple[Score, BranchId]] = []  # sorted best-first
 
-    def _better(self, a: Score, b: Score) -> bool:
-        return a > b if self.largest else a < b
-
     def offer(self, branch_id: BranchId, score: Score) -> IncrementalDecision:
         self.kept.append((score, branch_id))
         self.kept.sort(key=lambda t: t[0], reverse=self.largest)

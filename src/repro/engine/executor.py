@@ -24,9 +24,9 @@ from ..cluster.cluster import Cluster
 from ..cluster.stragglers import apply_stragglers
 from ..core.datasets import Dataset, Partition, split_payload
 from ..core.errors import SchedulingError
-from ..core.operators import Join, Operator, Sink, Source
+from ..core.operators import Join, Operator, Source
 from ..core.stages import Stage
-from .backends import ExecutionBackend, make_backend
+from .backends import SerialBackend
 from .job import EngineConfig
 
 
@@ -84,24 +84,20 @@ class StageOutcome:
 class StageExecutor:
     """Executes stages against a cluster under an :class:`EngineConfig`."""
 
-    def __init__(self, cluster: Cluster, config: EngineConfig):
+    def __init__(
+        self,
+        cluster: Cluster,
+        config: EngineConfig,
+        backend: Optional[SerialBackend] = None,
+    ):
         self.cluster = cluster
         self.config = config
         #: node id -> pending transient task-failure attempts, consumed by
         #: the next executed stage (retry-with-backoff, §5)
         self._pending_task_faults: Dict[str, int] = {}
         #: the data plane: who actually runs operator functions over
-        #: payloads.  Resolved from ``config.backend`` (a registry name or
-        #: a ready instance); instances are caller-owned and survive
-        #: :meth:`close`, named backends are created and closed here.
-        spec = getattr(config, "backend", "serial")
-        self.backend = make_backend(spec)
-        self._owns_backend = not isinstance(spec, ExecutionBackend)
-
-    def close(self) -> None:
-        """Release backend resources (process pools, shared memory)."""
-        if self._owns_backend:
-            self.backend.close()
+        #: payloads (a caller-owned instance, or a fresh one)
+        self.backend = backend if backend is not None else SerialBackend()
 
     def inject_task_faults(self, faults: Dict[str, int]) -> None:
         """Schedule transient task failures for the next executed stage."""
@@ -222,14 +218,8 @@ class StageExecutor:
             cur_bytes = op.output_bytes(cur_bytes)
         return cur_bytes
 
-    def _apply_chain(
-        self, stage_id: str, ops: List[Operator], payloads: List[Any]
-    ) -> List[Any]:
-        """Run the pure payload transform, consuming a prefetch if present."""
-        if self.backend.has_prefetched(stage_id):
-            prefetched = self.backend.take_prefetched(stage_id)
-            if prefetched is not None:
-                return prefetched
+    def _apply_chain(self, ops: List[Operator], payloads: List[Any]) -> List[Any]:
+        """Run the pure payload transform of a narrow chain."""
         if not ops:
             return list(payloads)
         return self.backend.map_chain(ops, payloads)
@@ -476,14 +466,12 @@ class StageExecutor:
         if isinstance(head, Source):
             cached = self._try_cache(stage, fingerprint, [], defer_store)
             if cached is not None:
-                self.backend.drop_prefetched(stage.id)
                 return cached
             return self._execute_source_stage(stage, fingerprint)
         if input_dataset_id is None:
             raise SchedulingError(f"stage {stage.id} has no input dataset")
         cached = self._try_cache(stage, fingerprint, [input_dataset_id], defer_store)
         if cached is not None:
-            self.backend.drop_prefetched(stage.id)
             return cached
         if head.narrow:
             return self._execute_narrow_stage(
@@ -557,7 +545,7 @@ class StageExecutor:
                 )
                 for index in range(len(out_payloads))
             ]
-            out_payloads = self._apply_chain(stage.id, rest, out_payloads)
+            out_payloads = self._apply_chain(rest, out_payloads)
             out_parts: List[Partition] = [
                 Partition("", index, payload, out_bytes_list[index])
                 for index, payload in enumerate(out_payloads)
@@ -661,7 +649,7 @@ class StageExecutor:
                 )
             )
             in_payloads.append(partition.data)
-        out_payloads = self._apply_chain(stage.id, chain, in_payloads)
+        out_payloads = self._apply_chain(chain, in_payloads)
         out_parts: List[Partition] = [
             Partition(raw.id, partition.index, out_payloads[i], out_bytes_list[i])
             for i, partition in enumerate(raw.partitions)
@@ -706,7 +694,7 @@ class StageExecutor:
                     self._charge_chain(stage.ops, nbytes, node_id, per_node_compute)
                 )
                 in_payloads.append(payload)
-            out_payloads = self._apply_chain(stage.id, stage.ops, in_payloads)
+            out_payloads = self._apply_chain(stage.ops, in_payloads)
             out_parts: List[Partition] = [
                 Partition("", index, payload, out_bytes_list[index])
                 for index, payload in enumerate(out_payloads)
@@ -782,16 +770,8 @@ class StageExecutor:
                 per_node_compute[node.id] = (
                     per_node_compute.get(node.id, 0.0) + per_worker_compute
                 )
-            # data plane: a prefetched wide stage already ran head + rest
-            # off-turn, so only the (identical) charges remain to be made
-            final_payloads: Optional[List[Any]] = None
-            if self.backend.has_prefetched(stage.id):
-                final_payloads = self.backend.take_prefetched(stage.id)
-            if final_payloads is None:
-                mid_payloads = self.backend.run_global(head, payloads)
-                nout = len(mid_payloads)
-            else:
-                nout = len(final_payloads)
+            mid_payloads = self.backend.run_global(head, payloads)
+            nout = len(mid_payloads)
             out_total = head.output_bytes(total_bytes)
             part_bytes = _split_bytes(out_total, nout)
             out_bytes_list = [
@@ -803,12 +783,9 @@ class StageExecutor:
                 )
                 for index in range(nout)
             ]
-            if final_payloads is None:
-                final_payloads = (
-                    self.backend.map_chain(rest, mid_payloads)
-                    if rest
-                    else list(mid_payloads)
-                )
+            final_payloads = (
+                self.backend.map_chain(rest, mid_payloads) if rest else list(mid_payloads)
+            )
             out_parts: List[Partition] = [
                 Partition("", index, payload, out_bytes_list[index])
                 for index, payload in enumerate(final_payloads)
@@ -927,20 +904,3 @@ class StageExecutor:
             "choose_evaluation_seconds", dataset=dataset_id
         ).observe(times.total)
         return score, times
-
-    def finalize_sink(self, sink: Sink, dataset_id: str) -> Tuple[Any, StageTimes]:
-        """Collect a dataset at the sink and run the sink function."""
-        record = self.cluster.record(dataset_id)
-        per_node_io: Dict[str, float] = {}
-        per_node_tasks: Dict[str, int] = {}
-        parts: List[Partition] = []
-        with self.cluster.protect([dataset_id]):
-            for index in range(record.num_partitions):
-                payload, seconds, node_id = self.cluster.load_partition(dataset_id, index)
-                per_node_io[node_id] = per_node_io.get(node_id, 0.0) + seconds
-                per_node_tasks[node_id] = per_node_tasks.get(node_id, 0) + 1
-                parts.append(Partition(dataset_id, index, payload, record.partition_bytes[index]))
-        dataset = Dataset(parts, dataset_id=dataset_id, producer=record.producer)
-        value = sink.finalize(dataset)
-        times = self._wall(per_node_io, {}, 0.0, record.num_partitions, per_node_tasks)
-        return value, times

@@ -71,14 +71,6 @@ class EngineConfig:
     #: cluster tier, or a ``DiskCacheStore`` for cross-reset persistence)
     #: to reuse results in warm exploratory re-runs.
     cache: Optional[Any] = None
-    #: execution backend for the real operator work (the data plane): a
-    #: registry name (``"serial"``, ``"mp"``) or an
-    #: :class:`~repro.engine.backends.ExecutionBackend` instance.  Every
-    #: backend is required to leave simulated times, traces and outputs
-    #: byte-identical to ``"serial"`` — only real wall-clock changes.
-    #: Instances are caller-owned (closed by the caller, reusable across
-    #: runs); names are instantiated and closed by the engine per run.
-    backend: Any = "serial"
 
 
 @dataclass

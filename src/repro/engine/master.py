@@ -34,6 +34,7 @@ from ..core.operators import Join, Operator, Sink, Source
 from ..core.optimizations import make_pruner, plan_optimizations
 from ..core.stages import Stage, StageGraph
 from ..prof.spans import registry_categories
+from .backends import SerialBackend
 from .executor import StageExecutor, StageTimes
 from .job import ChooseDecision, EngineConfig, JobResult, StageTrace
 from .recovery import RecoveryManager
@@ -109,13 +110,14 @@ class Master:
         cluster: Cluster,
         scheduler: Optional[Scheduler] = None,
         config: Optional[EngineConfig] = None,
+        backend: Optional[SerialBackend] = None,
     ):
         mdf.validate()
         self.mdf = mdf
         self.cluster = cluster
         self.scheduler = scheduler or BFSScheduler()
         self.config = config or EngineConfig()
-        self.executor = StageExecutor(cluster, self.config)
+        self.executor = StageExecutor(cluster, self.config, backend)
         self.stage_graph = StageGraph(mdf)
         self.score_store = ChooseScoreStore()
         self.result = JobResult(metrics=cluster.metrics, events=cluster.trace)
@@ -177,12 +179,6 @@ class Master:
         self._prepare_schedule()
         self._bind_policy()
         self.recovery = RecoveryManager(self)
-        # hand every operator of the run to the data-plane backend up
-        # front: process-pool backends make them reachable from workers
-        # via fork inheritance (operators are closures, not picklables)
-        self.executor.backend.prepare(
-            op for stage in self.stage_graph.stages for op in stage.ops
-        )
 
     # ------------------------------------------------------------- set-up
     def _prepare_scopes(self) -> None:
@@ -401,12 +397,6 @@ class Master:
     # ------------------------------------------------------------ main loop
     def run(self) -> JobResult:
         """Execute the MDF to completion and return the job result."""
-        try:
-            return self._run()
-        finally:
-            self.executor.close()
-
-    def _run(self) -> JobResult:
         stage_index = 0
         obs = self.cluster.obs
         while self._ready:
@@ -437,7 +427,6 @@ class Master:
                 ready_choose=[s.id for s in ready if s.is_choose],
                 successors_ready=[s.id for s in successors if s.id in self._ready_ids],
             )
-            self._prefetch_siblings(stage, ready)
             # Everything the stage causes — loads, stores, evictions, the
             # deferred choose evaluation — is attributed to it through the
             # ambient label context (the trace→metrics bridge applies the
@@ -463,38 +452,6 @@ class Master:
         self._surface_unfired_failures()
         self.result.completion_time = self.cluster.clock.now
         return self.result
-
-    def _prefetch_siblings(self, chosen: Stage, ready: List[Stage]) -> None:
-        """Offer ready sibling stages to the backend ahead of their turn.
-
-        Branch-level real parallelism: while the chosen stage executes,
-        a parallel backend can already run the pure payload transforms of
-        the other ready stages (independent explore branches).  Strictly
-        invisible to the simulation — no accounting, no trace events, and
-        results are only consumed by the very execution path that would
-        have computed them.  Disabled under failure injection (recovery
-        re-executes stages, so speculative payloads could go stale).
-        """
-        backend = self.executor.backend
-        if not backend.supports_prefetch or self.config.failures is not None:
-            return
-        for stage in ready:
-            if stage.id == chosen.id or stage.is_choose or stage.is_explore:
-                continue
-            head = stage.head
-            if isinstance(head, (Source, Join)):
-                continue
-            if backend.has_prefetched(stage.id):
-                continue
-            preds = list(self.mdf.pre(head))
-            if len(preds) != 1:
-                continue
-            input_id = self._output_of.get(preds[0].name)
-            if input_id is None or not self.cluster.has_dataset(input_id):
-                continue
-            payloads = self.cluster.peek_payloads(input_id)
-            kind = "narrow" if head.narrow else "wide"
-            backend.prefetch_stage(stage.id, kind, stage.ops, payloads)
 
     def _maybe_fail(self, stage_index: int) -> None:
         """Fire due injected failures and *pay* for them (§5).
@@ -916,7 +873,6 @@ class Master:
             stage = self._stage_by_id[stage_id]
             pruned_ops.update(op.name for op in stage.ops)
             pruned_stage_ids.append(stage_id)
-            self.executor.backend.drop_prefetched(stage_id)
             self._mark_done(stage, pruned=True)
             # nested scopes inside the pruned branch will never finalize
             inner = self._tail_stage_to_branch.get(stage_id)

@@ -19,7 +19,6 @@ before the run (cold caches) unless ``reset=False``.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Optional, Union
 
 from ..cluster.cluster import Cluster
@@ -100,16 +99,14 @@ def run_mdf(
         as ``result.live``.  Live subscribers are pure observers — a
         monitored run's trace is byte-identical to an unmonitored one.
     backend:
-        Execution backend for the real operator work: a registry name
-        (``"serial"`` — the default — or ``"mp"``) or an
-        :class:`~repro.engine.backends.ExecutionBackend` instance.
-        Overrides ``config.backend`` when given.  Backends only change
-        real wall-clock time; simulated results are byte-identical
-        across backends (see ``docs/parallel_execution.md``).
+        A :class:`~repro.engine.backends.SerialBackend` instance (or
+        subclass) that runs the real operator work; every ``map_chain``,
+        ``run_global`` and ``run_join`` call goes through it.  ``None``
+        (default) uses a fresh one.  The executor charges every simulated
+        cost before handing payloads over, so the backend cannot move a
+        simulated number.
     """
     config = config or EngineConfig()
-    if backend is not None:
-        config = dataclasses.replace(config, backend=backend)
     if reset:
         cluster.reset()
     if memory is not None:
@@ -158,7 +155,7 @@ def run_mdf(
             partitions_per_worker=config.partitions_per_worker,
         )
         monitor.attach(cluster.trace, plan=plan, registry=cluster.obs)
-    master = Master(mdf, cluster, scheduler=scheduler, config=config)
+    master = Master(mdf, cluster, scheduler=scheduler, config=config, backend=backend)
     try:
         result = master.run()
     finally:

@@ -66,13 +66,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "workload's own shape)",
     )
     parser.add_argument(
-        "--backends",
-        default="serial",
-        help="comma list of execution backends crossed in (default: "
-        "serial; add mp to prove backend choice never moves a simulated "
-        "number)",
-    )
-    parser.add_argument(
         "--reference",
         default="bfs",
         help="reference policy for the differential matrix (default: bfs)",
@@ -103,9 +96,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     from ..cluster.memory import available_policies
 
     memories = _parse_names(args.memories, available_policies(), "memory policy")
-    from ..engine.backends import available_backends
-
-    backends = _parse_names(args.backends, available_backends(), "backend")
     sizes = (
         [int(s) for s in args.sizes.split(",") if s.strip()]
         if args.sizes
@@ -118,12 +108,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         memories=memories,
         workloads=workloads,
         cluster_sizes=sizes,
-        backends=backends,
     )
     print(
         f"policy lab: {len(schedulers)} schedulers × {len(workloads)} "
         f"workloads × {len(memories)} memory policies × "
-        f"{len(sizes)} cluster sizes × {len(backends)} backends"
+        f"{len(sizes)} cluster sizes"
     )
     report = experiment.run(progress=progress)
     print()

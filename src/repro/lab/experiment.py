@@ -32,9 +32,6 @@ class CellResult:
     scheduler: str
     memory: str
     workers: int
-    #: execution backend the cell ran on (``"serial"``/``"mp"``); never
-    #: changes the simulated numbers, only real wall-clock
-    backend: str
     completion_time: float
     #: total modelled work paid across all branches (compute + io + network
     #: seconds) — the paper's *exploration cost* axis
@@ -78,7 +75,7 @@ class LabReport:
     def render_table(self) -> str:
         """Fixed-width comparative table, one row per cell."""
         header = (
-            f"{'workload':<18} {'sched':<12} {'memory':<14} {'bknd':<6} "
+            f"{'workload':<18} {'sched':<12} {'memory':<14} "
             f"{'wrk':>3} {'t_complete':>10} {'expl_cost':>10} {'hit':>6} "
             f"{'br_x':>5} {'br_p':>5} {'evict':>6} {'viol':>4}"
         )
@@ -86,7 +83,7 @@ class LabReport:
         for c in self.cells:
             lines.append(
                 f"{c.workload:<18} {c.scheduler:<12} {c.memory:<14} "
-                f"{c.backend:<6} {c.workers:>3} {c.completion_time:>10.4f} "
+                f"{c.workers:>3} {c.completion_time:>10.4f} "
                 f"{c.exploration_cost:>10.4f} {c.memory_hit_ratio:>6.3f} "
                 f"{c.branches_executed:>5} {c.branches_pruned:>5} "
                 f"{c.evictions:>6} {c.violations:>4}"
@@ -110,14 +107,8 @@ class LabReport:
 
         Keys follow the gate's scenario naming
         (``lab_<workload>_<scheduler>``); simulated time is exact, so
-        these are stable across machines.  Only ``serial``-backend cells
-        are exported — backends are required to match it exactly, so a
-        second backend would only produce duplicate keys."""
-        return {
-            f"lab_{c.workload}_{c.scheduler}": c.completion_time
-            for c in self.cells
-            if c.backend == "serial"
-        }
+        these are stable across machines."""
+        return {f"lab_{c.workload}_{c.scheduler}": c.completion_time for c in self.cells}
 
 
 class Experimentation:
@@ -148,10 +139,6 @@ class Experimentation:
         record per-cell ``live_alerts``, ``live_eta_error`` and
         ``live_stream_identical`` — exercising the streaming layer
         across the whole policy × workload matrix.
-    backends:
-        Execution backends crossed in (default: just ``"serial"``).
-        Adding ``"mp"`` doubles the matrix and proves — cell by cell —
-        that backend choice never moves a simulated number.
     """
 
     def __init__(
@@ -162,7 +149,6 @@ class Experimentation:
         cluster_sizes: Sequence[Optional[int]] = (None,),
         validate: bool = True,
         live: bool = False,
-        backends: Sequence[str] = ("serial",),
     ):
         from ..engine.policies import available_schedulers
 
@@ -172,17 +158,15 @@ class Experimentation:
         self.cluster_sizes = list(cluster_sizes)
         self.validate = validate
         self.live = live
-        self.backends = list(backends)
 
     def cells(self) -> List[Dict]:
         """The cross product this experimentation will run."""
         return [
-            dict(workload=w, scheduler=s, memory=m, workers=n, backend=b)
+            dict(workload=w, scheduler=s, memory=m, workers=n)
             for w in self.workloads
             for s in self.schedulers
             for m in self.memories
             for n in self.cluster_sizes
-            for b in self.backends
         ]
 
     def run_cell(
@@ -191,7 +175,6 @@ class Experimentation:
         scheduler: str,
         memory: str = "amm",
         workers: Optional[int] = None,
-        backend: str = "serial",
     ) -> CellResult:
         """Execute one cell and collect its measurements."""
         subject: LabWorkload = get_workload(workload)
@@ -206,7 +189,6 @@ class Experimentation:
         result, cluster = subject.run(
             scheduler=scheduler, memory=memory, workers=workers,
             live=monitor if monitor is not None else False,
-            backend=backend,
         )
         live_alerts = 0
         live_eta_error = None
@@ -236,7 +218,6 @@ class Experimentation:
             scheduler=scheduler,
             memory=memory,
             workers=workers or subject.workers,
-            backend=backend,
             completion_time=result.completion_time,
             exploration_cost=m.total_time,
             memory_hit_ratio=m.memory_hit_ratio,

@@ -61,7 +61,6 @@ class LabWorkload:
         workers: Optional[int] = None,
         validate: bool = False,
         live=None,
-        backend=None,
     ) -> Tuple[JobResult, Cluster]:
         """Execute one cell and return the result with its cluster.
 
@@ -71,9 +70,7 @@ class LabWorkload:
         to :func:`~repro.engine.runner.run_mdf` (a
         :class:`~repro.live.monitor.LiveMonitor`, a stream target, or
         ``True`` for the default monitor); the attached monitor comes
-        back as ``result.live``.  ``backend`` picks the execution
-        backend (``"serial"``/``"mp"`` or an instance); the simulated
-        result is byte-identical either way.
+        back as ``result.live``.
         """
         cluster = self.make_cluster(workers)
         result = run_mdf(
@@ -84,7 +81,6 @@ class LabWorkload:
             config=self.make_config(),
             validate=validate,
             live=live,
-            backend=backend,
         )
         return result, cluster
 

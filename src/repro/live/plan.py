@@ -119,10 +119,6 @@ class LivePlan:
         )
 
     # ------------------------------------------------------------- queries
-    def cost_of(self, stage_id: str) -> float:
-        """Modelled pessimistic seconds of one stage (0 for metadata)."""
-        return self.stage_costs.get(stage_id, 0.0)
-
     def remaining_seconds(self, pending: Iterable[str]) -> float:
         """Serial remaining work: Σ modelled cost over pending stage ids.
 

@@ -9,7 +9,6 @@ Prometheus text, JSON, and the per-branch / per-node breakdown tables
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, List, Optional
 
 from .export import prometheus_text, registry_json, registry_to_dict
@@ -44,10 +43,6 @@ class Telemetry:
         if self.metrics is not None:
             out["metrics"] = self.metrics.as_dict()
         return out
-
-    def timeline_json(self, indent: int = 2) -> str:
-        samples = self.timeline.as_dicts() if self.timeline is not None else []
-        return json.dumps(samples, indent=indent, sort_keys=True)
 
     @property
     def samples(self) -> List:

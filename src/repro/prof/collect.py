@@ -10,7 +10,7 @@ harness is single-threaded.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .spans import SpanProfile, profile_from_result
 
@@ -25,11 +25,6 @@ class ProfileCollector:
     def record(self, result) -> None:
         self.profiles.append((self.label, profile_from_result(result)))
 
-    def by_label(self) -> Dict[str, List[SpanProfile]]:
-        out: Dict[str, List[SpanProfile]] = {}
-        for label, profile in self.profiles:
-            out.setdefault(label, []).append(profile)
-        return out
 
 
 _collector: Optional[ProfileCollector] = None

@@ -47,24 +47,11 @@ def _threshold_explore(name: str, thresholds, nominal_bytes: int):
     return builder.build()
 
 
-def _scenario_quickstart(backend: str = "serial") -> float:
+def _scenario_quickstart() -> float:
     """The quickstart recipe: roomy cluster, three thresholds."""
     mdf = _threshold_explore("gate-quickstart", [10, 100, 500], 256 * MB)
     cluster = Cluster(num_workers=4, mem_per_worker=1 * GB)
-    return run_mdf(
-        mdf, cluster, scheduler="bas", memory="amm", backend=backend
-    ).completion_time
-
-
-def _scenario_quickstart_mp() -> float:
-    """Quickstart on the ``mp`` backend.
-
-    Backends are forbidden from moving simulated time at all, so this
-    scenario shares the exact baseline value with ``quickstart`` — any
-    drift between the two is a backend-identity regression, caught here
-    even if both baselines were regenerated together.
-    """
-    return _scenario_quickstart(backend="mp")
+    return run_mdf(mdf, cluster, scheduler="bas", memory="amm").completion_time
 
 
 def _scenario_starved_explore() -> float:
@@ -73,9 +60,7 @@ def _scenario_starved_explore() -> float:
         "gate-starved", [50, 150, 400, 700, 900], 96 * MB
     )
     cluster = Cluster(num_workers=2, mem_per_worker=48 * MB)
-    return run_mdf(
-        mdf, cluster, scheduler="bas", memory="amm", backend="serial"
-    ).completion_time
+    return run_mdf(mdf, cluster, scheduler="bas", memory="amm").completion_time
 
 
 def _scenario_chain() -> float:
@@ -91,7 +76,7 @@ def _scenario_chain() -> float:
     pipe.write(name="out")
     cluster = Cluster(num_workers=2, mem_per_worker=256 * MB)
     return run_mdf(
-        builder.build(), cluster, scheduler="bas", memory="amm", backend="serial"
+        builder.build(), cluster, scheduler="bas", memory="amm"
     ).completion_time
 
 
@@ -102,9 +87,7 @@ def _scenario_lab(workload: str, scheduler: str) -> Callable[[], float]:
     def scenario() -> float:
         from ..lab.workloads import get_workload
 
-        result, _ = get_workload(workload).run(
-            scheduler=scheduler, memory="amm", backend="serial"
-        )
+        result, _ = get_workload(workload).run(scheduler=scheduler, memory="amm")
         return result.completion_time
 
     scenario.__name__ = f"_scenario_lab_{scheduler}"
@@ -113,13 +96,9 @@ def _scenario_lab(workload: str, scheduler: str) -> Callable[[], float]:
 
 #: the gated scenario set: small, fast, and covering the three engine
 #: regimes (roomy explore, starved explore with evictions, plain chain),
-#: plus one pinned policy-lab cell per contender scheduler and one
-#: mp-backend parity scenario.  Every scenario pins its backend
-#: explicitly, so a change to the default backend (or a backend that
-#: perturbs simulated time) can never slip through the gate silently.
+#: plus one pinned policy-lab cell per contender scheduler
 SCENARIOS: Dict[str, Callable[[], float]] = {
     "quickstart": _scenario_quickstart,
-    "quickstart_mp": _scenario_quickstart_mp,
     "starved_explore": _scenario_starved_explore,
     "chain": _scenario_chain,
     "lab_heft": _scenario_lab("wide_topk", "heft"),
@@ -190,7 +169,19 @@ def run_gate(
     update: bool = False,
     slowdown: float = 1.0,
 ) -> GateReport:
-    """Compare measured completion times against the committed baseline."""
+    """Compare measured completion times against the committed baseline.
+
+    The baseline must pin exactly the current scenarios: a missing one
+    and a stale key (a scenario that no longer exists) are both errors.
+    """
+    if not update:
+        with open(baseline_path) as fh:
+            baselines = json.load(fh).get("scenarios", {})
+        for name in sorted(set(SCENARIOS) ^ set(baselines)):
+            problem = "missing from" if name in SCENARIOS else "stale in"
+            raise KeyError(
+                f"scenario {name!r} {problem} {baseline_path}; re-run with --update"
+            )
     measured = measure(slowdown=slowdown)
     if update:
         payload = {
@@ -207,17 +198,7 @@ def run_gate(
             fh.write("\n")
         rows = [GateRow(name, measured[name], measured[name]) for name in sorted(measured)]
         return GateReport(rows=rows, tolerance=tolerance, updated=True)
-    with open(baseline_path) as fh:
-        payload = json.load(fh)
-    baselines = payload.get("scenarios", {})
-    rows = []
-    for name in sorted(SCENARIOS):
-        if name not in baselines:
-            raise KeyError(
-                f"scenario {name!r} missing from {baseline_path}; "
-                f"re-run with --update"
-            )
-        rows.append(GateRow(name, baselines[name], measured[name]))
+    rows = [GateRow(name, baselines[name], measured[name]) for name in sorted(SCENARIOS)]
     return GateReport(rows=rows, tolerance=tolerance)
 
 

@@ -64,7 +64,6 @@ serve options:
   --slots N             admission window (default: workers)
   --tenant NAME:WEIGHT  pre-register a tenant weight (repeatable)
   --quota-bytes N       per-tenant shared-cache byte quota
-  --backend NAME        default execution backend (serial|mp)
   --max-idle SECONDS    exit after this much inbox+queue silence (default 5)
   --once                drain the current inbox, then exit
   --no-validate         skip the per-job trace validators
@@ -74,7 +73,6 @@ submit options:
   --workload NAME       lab-zoo workload name (required)
   --scheduler NAME      scheduler policy (default bas)
   --memory NAME         eviction policy (default amm)
-  --backend NAME        execution backend (default serial)
   --cost X              fair-share cost hint (default 1.0)
 
 status options:
@@ -155,13 +153,20 @@ def _ingest(service: JobService, spool: str, out: TextIO) -> int:
             out.write(f"bad ticket {name}: {exc}\n")
             os.unlink(path)
             continue
+        os.unlink(path)
+        if not isinstance(ticket, dict):
+            out.write(f"bad ticket {name}: not a JSON object\n")
+            continue
         tenant = ticket.pop("tenant", "default")
         workload = ticket.pop("workload", None)
-        os.unlink(path)
         if not workload:
             out.write(f"bad ticket {name}: no workload\n")
             continue
-        job_id = service.submit(tenant, workload, **ticket)
+        try:
+            job_id = service.submit(tenant, workload, **ticket)
+        except (TypeError, ValueError) as exc:  # unknown field or bad cost
+            out.write(f"bad ticket {name}: {exc}\n")
+            continue
         out.write(f"{job_id}  tenant={tenant}  workload={workload}\n")
         count += 1
     return count
@@ -172,7 +177,6 @@ def cmd_serve(argv: List[str], spool: str, out: TextIO) -> int:
     workers = int(_pop_opt(argv, "--workers") or 2)
     slots = _pop_opt(argv, "--slots")
     quota = _pop_opt(argv, "--quota-bytes")
-    backend = _pop_opt(argv, "--backend")
     max_idle = float(_pop_opt(argv, "--max-idle") or 5.0)
     once = _pop_flag(argv, "--once")
     validate = not _pop_flag(argv, "--no-validate")
@@ -226,7 +230,6 @@ def cmd_submit(argv: List[str], spool: str, out: TextIO) -> int:
     for flag, key in (
         ("--scheduler", "scheduler"),
         ("--memory", "memory"),
-        ("--backend", "backend"),
     ):
         value = _pop_opt(argv, flag)
         if value is not None:

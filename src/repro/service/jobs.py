@@ -36,7 +36,6 @@ class JobSpec:
     workload: str
     scheduler: str = "bas"
     memory: str = "amm"
-    backend: str = "serial"
     #: shared cross-tenant store directory (None = per-job cache off)
     cache_dir: Optional[str] = None
     #: per-tenant byte quota applied by the shared store (None = unbounded)

@@ -4,8 +4,7 @@
 them through the weighted fair-share queue
 (:class:`~repro.service.queue.FairShareQueue`), and runs up to
 ``workers`` jobs **concurrently in real processes** (a fork-context
-pool; each job is one ``run_mdf`` call in a worker — the PR8 ``mp``
-backend can additionally parallelise *within* a job).  All jobs share
+pool; each job is one ``run_mdf`` call in a worker).  All jobs share
 one :class:`~repro.cache.SharedCacheStore` directory, so one tenant's
 exploration warms every other tenant's cache, deduplicated in flight
 and bounded per tenant by byte quotas.
@@ -122,11 +121,16 @@ class JobService:
         **overrides: Any,
     ) -> str:
         """Queue one job; returns its id.  ``overrides`` patch the spec
-        (``scheduler``, ``memory``, ``backend``, ``validate``, ...)."""
+        (``scheduler``, ``memory``, ``validate``, ...).  A key that names no
+        :class:`JobSpec` field raises ``TypeError`` and a cost the queue
+        rejects raises ``TypeError``/``ValueError``; either way nothing is
+        recorded and no job id is used."""
         if self._closed:
             raise RuntimeError("service is closed")
-        self._next_id += 1
-        job_id = f"job-{self._next_id:04d}"
+        for key in overrides:
+            if key not in JobSpec.__dataclass_fields__:
+                raise TypeError(f"unknown JobSpec field {key!r}")
+        job_id = f"job-{self._next_id + 1:04d}"
         spec = JobSpec(
             job_id=job_id,
             tenant=tenant,
@@ -140,12 +144,11 @@ class JobService:
             obs=self.obs is not None,
         )
         for key, value in overrides.items():
-            if not hasattr(spec, key):
-                raise TypeError(f"unknown JobSpec field {key!r}")
             setattr(spec, key, value)
         record = JobRecord(spec=spec)
-        self.records[job_id] = record
         queued = self.queue.put(tenant, record, cost=spec.cost)
+        self._next_id += 1
+        self.records[job_id] = record
         if self.obs is not None:
             self.obs.job_submitted(record, queued, self.queue.vtime)
         self.write_state()

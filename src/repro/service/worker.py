@@ -97,7 +97,6 @@ def _run(spec: JobSpec, started: float) -> Dict[str, Any]:
         config=config,
         validate=False,  # violations are *reported*, not raised
         live=spec.stream_path,
-        backend=spec.backend,
     )
     violations = validate_trace(result.events) if spec.validate else []
     cache = config.cache

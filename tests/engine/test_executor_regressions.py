@@ -1,0 +1,147 @@
+"""Executor-layer regressions: fault-drain scope, cache-hit payload
+aliasing, wide-stage byte splits, and ``ExecutionError`` pickling."""
+
+import pickle
+
+from repro import CallableEvaluator, Cluster, GB, MB, MDFBuilder
+from repro.cache import DiskCacheStore, ResultCache
+from repro.core.errors import ExecutionError
+from repro.core.stages import StageGraph
+from repro.engine import EngineConfig, run_mdf
+from repro.engine.executor import StageExecutor, _split_bytes
+
+
+def test_execution_error_pickle_roundtrip():
+    err = ExecutionError("op-name", "went sideways")
+    clone = pickle.loads(pickle.dumps(err, protocol=5))
+    assert isinstance(clone, ExecutionError)
+    assert clone.operator_name == "op-name"
+    assert clone.message == "went sideways"
+
+
+# --------------------------------------------------- bugfix 1: fault drain
+def _wide_mdf():
+    b = MDFBuilder()
+    (
+        b.read_data(list(range(100)), name="src", nominal_bytes=64 * MB)
+        .aggregate(lambda xs: [sum(xs)], name="agg", selectivity=0.01)
+        .write(name="out")
+    )
+    return b.build()
+
+
+class TestFaultDrainScope:
+    def test_choose_evaluation_leaves_faults_pending(self):
+        """Injected task faults are scheduled "for the next executed
+        stage": a choose evaluation between injection and that stage must
+        not silently drain them (the pre-fix ``_wall`` did)."""
+        cluster = Cluster(2, 1 * GB)
+        sg = StageGraph(_wide_mdf())
+        executor = StageExecutor(cluster, EngineConfig())
+        first = executor.execute(sg.stages[0], None)
+        executor.inject_task_faults({"worker-0": 2})
+        evaluator = CallableEvaluator(lambda xs: float(len(xs)), name="count")
+        executor.evaluate_branch(evaluator, first.output_dataset_id)
+        assert executor._pending_task_faults == {"worker-0": 2}
+        second = executor.execute(sg.stages[1], first.output_dataset_id)
+        assert executor._pending_task_faults == {}
+        assert second.times.compute > 0
+
+    def test_next_real_stage_pays_for_the_faults(self):
+        clean_cluster = Cluster(2, 1 * GB)
+        clean_sg = StageGraph(_wide_mdf())
+        clean_exec = StageExecutor(clean_cluster, EngineConfig())
+        clean_first = clean_exec.execute(clean_sg.stages[0], None)
+        clean_second = clean_exec.execute(
+            clean_sg.stages[1], clean_first.output_dataset_id
+        )
+
+        cluster = Cluster(2, 1 * GB)
+        sg = StageGraph(_wide_mdf())
+        executor = StageExecutor(cluster, EngineConfig())
+        first = executor.execute(sg.stages[0], None)
+        executor.inject_task_faults({"worker-0": 2})
+        evaluator = CallableEvaluator(lambda xs: float(len(xs)), name="count")
+        executor.evaluate_branch(evaluator, first.output_dataset_id)
+        second = executor.execute(sg.stages[1], first.output_dataset_id)
+        # the retried attempts + backoff land on the stage, not the choose
+        assert second.times.compute > clean_second.times.compute
+        retried = [e for e in cluster.trace.events if e.kind == "task_retried"]
+        assert len(retried) == 1 and retried[0].data["attempts"] == 2
+
+
+# ------------------------------------------- bugfix 2: cache-hit aliasing
+def _sorted_all(xs):
+    return sorted(xs)
+
+
+def _make_mutator(tag):
+    def mutate(xs, _tag=tag):  # distinct fingerprint per run via default arg
+        xs.append(-1)  # in-place: would corrupt an aliased cache blob
+        return list(xs)
+
+    return mutate
+
+
+def _run_with_mutator(store, tag):
+    cluster = Cluster(1, 1 * GB)  # one partition: concat aliases the payload
+    cache = ResultCache(store=store, cost_based=False)
+    b = MDFBuilder("alias-check")
+    (
+        b.read_data([5, 3, 7, 1], name="src", nominal_bytes=32 * MB)
+        .aggregate(_sorted_all, name="agg", selectivity=0.5)
+        .aggregate(_make_mutator(tag), name=f"mut-{tag}", selectivity=0.5)
+        .write(name="out")
+    )
+    result = run_mdf(b.build(), cluster, config=EngineConfig(cache=cache))
+    return result, cache
+
+
+class TestStoreHitIsolation:
+    def test_mutating_consumer_cannot_corrupt_later_hits(self, tmp_path):
+        """A store-tier hit must serve a private copy: the downstream
+        stage here mutates its input in place, and before the fix that
+        mutation landed in the cached blob every later hit was served
+        from."""
+        store = DiskCacheStore(str(tmp_path))
+        cold, _ = _run_with_mutator(store, 0)
+        warm1, cache1 = _run_with_mutator(store, 1)
+        warm2, cache2 = _run_with_mutator(store, 2)
+        assert cache1.stats.store_hits >= 1  # the aliasing path really ran
+        assert cache2.stats.store_hits >= 1
+        assert warm1.output == cold.output == [1, 3, 5, 7, -1]
+        assert warm2.output == warm1.output
+
+
+# -------------------------------------------- bugfix 3: byte-split totals
+class TestByteSplit:
+    def test_split_bytes_exact(self):
+        assert _split_bytes(10, 3) == [4, 3, 3]
+        assert _split_bytes(2, 4) == [1, 1, 0, 0]
+        assert _split_bytes(0, 3) == [0, 0, 0]
+        for total, count in [(7, 4), (1, 1), (999, 7), (12, 5)]:
+            parts = _split_bytes(total, count)
+            assert sum(parts) == total
+            assert max(parts) - min(parts) <= 1
+
+    def test_wide_stage_partition_bytes_sum_to_output_total(self):
+        """With a remainder (10 bytes over 3 partitions) the pre-fix
+        ``out_total // n`` split summed to 9, silently losing a byte of
+        nominal accounting on every wide stage."""
+        cluster = Cluster(3, 1 * GB)
+        b = MDFBuilder()
+        (
+            # 102 bytes split 34/34/34 by the source, so the wide head
+            # sees 102 in-bytes and emits output_bytes = 10 over 3 parts
+            b.read_data(list(range(99)), name="src", nominal_bytes=102)
+            .aggregate(lambda xs: list(xs), name="agg", selectivity=0.1)
+            .write(name="out")
+        )
+        sg = StageGraph(b.build())
+        executor = StageExecutor(cluster, EngineConfig())
+        first = executor.execute(sg.stages[0], None)
+        second = executor.execute(sg.stages[1], first.output_dataset_id)
+        record = cluster.record(second.output_dataset_id)
+        assert record.num_partitions == 3
+        assert sum(record.partition_bytes) == 10  # == output_bytes(100)
+        assert max(record.partition_bytes) - min(record.partition_bytes) <= 1

@@ -89,6 +89,18 @@ class TestRunGate:
         with pytest.raises(KeyError, match="--update"):
             run_gate(path)
 
+    def test_stale_scenario_is_an_error(self, tmp_path):
+        """A baseline key that names no scenario (e.g. a deleted one) must
+        not stay pinned unnoticed."""
+        path = tmp_path / "baselines.json"
+        run_gate(path, update=True)
+        with open(path) as fh:
+            payload = json.load(fh)
+        payload["scenarios"]["retired"] = 1.0
+        path.write_text(json.dumps(payload))
+        with pytest.raises(KeyError, match="'retired' stale in .*--update"):
+            run_gate(path)
+
 
 class TestCommittedBaselines:
     def test_repo_baselines_match_the_current_engine(self):

@@ -26,7 +26,7 @@ def solo_digest(workload_name):
 class TestJobSpec:
     def test_round_trips_through_dict(self):
         spec = JobSpec(job_id="j1", tenant="t", workload="filter_min",
-                       backend="mp", cost=2.5)
+                       scheduler="bfs", cost=2.5)
         again = JobSpec.from_dict(spec.as_dict())
         assert again == spec
 
@@ -184,6 +184,34 @@ class TestCLI:
         code, text = self.run_cli("serve", "--spool", spool, "--once")
         assert code == 0
         assert "bad ticket" in text and "served 1 job(s)" in text
+
+    def test_unknown_key_ticket_is_reported_and_later_tickets_served(self, tmp_path):
+        """A ticket naming no JobSpec field (here ``backend``, as written by
+        an older ``submit --backend``), with a cost the queue rejects, or
+        holding no JSON object is reported without using a job id; the
+        dispatcher keeps serving the tickets queued behind it."""
+        spool = str(tmp_path)
+        inbox = os.path.join(spool, "inbox")
+        os.makedirs(inbox)
+        with open(os.path.join(inbox, "0-old.json"), "w") as fh:
+            json.dump({"tenant": "alice", "workload": "filter_min", "backend": "mp"}, fh)
+        with open(os.path.join(inbox, "1-cost.json"), "w") as fh:
+            json.dump({"workload": "filter_min", "cost": 0}, fh)
+        with open(os.path.join(inbox, "1-list.json"), "w") as fh:
+            json.dump(["filter_min"], fh)
+        self.run_cli("submit", "--spool", spool, "--workload", "filter_min")
+        code, text = self.run_cli("serve", "--spool", spool, "--once")
+        assert code == 0, text
+        assert "bad ticket 0-old.json: unknown JobSpec field 'backend'" in text
+        assert "bad ticket 1-cost.json: job cost must be > 0, got 0" in text
+        assert "bad ticket 1-list.json: not a JSON object" in text
+        assert "job-0001  tenant=default" in text
+        assert "served 1 job(s): 1 done, 0 failed" in text
+        assert os.listdir(inbox) == []
+        code, text = self.run_cli(
+            "submit", "--spool", spool, "--workload", "filter_min", "--backend", "mp"
+        )
+        assert code == 2 and "unknown submit arguments" in text
 
     def test_usage_and_errors(self, tmp_path):
         code, text = self.run_cli("--help")

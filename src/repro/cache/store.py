@@ -728,9 +728,6 @@ class ResultCache:
             # for good) — stop holding concurrent jobs back either way
             self._release_flight(fingerprint)
         self.stats.admissions += 1
-        cluster.obs.counter(
-            "cache_admissions", dataset=dataset.id, policy=tier
-        ).inc()
         cluster.trace.emit(
             "cache_admit",
             fingerprint=fingerprint,

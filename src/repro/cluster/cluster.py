@@ -21,6 +21,7 @@ from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 from ..core.datasets import Dataset, Partition
 from ..core.errors import FaultError
 from ..core.state import ExecutionState
+from ..obs.bridge import RegistryFold
 from ..obs.registry import MetricsRegistry
 from ..trace import Trace
 from .clock import SimClock
@@ -103,9 +104,6 @@ class Cluster:
         self.cost_model = cost_model or CostModel()
         self.policy = policy or LRUPolicy()
         self.clock = SimClock()
-        self.obs = MetricsRegistry()
-        self.metrics = Metrics().bind(self.obs)
-        self.trace = Trace(clock=self.clock)
         self.nodes: List[Node] = [
             Node(f"worker-{i}", mem_per_worker) for i in range(num_workers)
         ]
@@ -117,6 +115,17 @@ class Cluster:
         #: the node), fed by the executor/recovery paths; the timeline
         #: sampler reads it to derive per-node utilisation over time
         self.busy_seconds: Dict[str, float] = {}
+        self._start_recording()
+
+    @property
+    def metrics(self) -> Metrics:
+        """A snapshot of the job-global totals in :attr:`obs` right now."""
+        return Metrics.from_registry(self.obs)
+
+    def _start_recording(self) -> None:
+        """A fresh metrics registry and a fresh trace that folds into it."""
+        self.obs = MetricsRegistry()
+        self.trace = Trace(clock=self.clock, fold=RegistryFold(self.obs))
         self._watch_nodes()
         self._wire_trace()
 
@@ -196,9 +205,7 @@ class Cluster:
         self._records[dataset.id] = DatasetRecord(
             dataset.id, dataset.producer, nodes, [p.nominal_bytes for p in dataset.partitions]
         )
-        self.metrics.peak_datasets_stored = max(
-            self.metrics.peak_datasets_stored, len(self._records)
-        )
+        self.obs.gauge("peak_datasets_stored").set_max(len(self._records))
         self.trace.emit(
             "dataset_registered",
             dataset=dataset.id,
@@ -214,9 +221,6 @@ class Cluster:
         seconds = 0.0
         if nbytes > node.mem_capacity:
             node.put(key, partition.data, nbytes, self.clock.now, in_memory=False)
-            self.obs.counter(
-                "bytes_written_disk", node=node.id, dataset=key[0]
-            ).inc(nbytes)
             self.trace.emit(
                 "partition_stored",
                 dataset=key[0],
@@ -228,9 +232,6 @@ class Cluster:
             return self.cost_model.disk_write_time(nbytes)
         seconds += self._ensure_space(node, nbytes)
         node.put(key, partition.data, nbytes, self.clock.now, in_memory=True)
-        self.obs.counter(
-            "bytes_written_memory", node=node.id, dataset=key[0]
-        ).inc(nbytes)
         self.trace.emit(
             "partition_stored",
             dataset=key[0],
@@ -263,9 +264,7 @@ class Cluster:
         self._records[dataset_id] = DatasetRecord(
             dataset_id, producer, nodes, sizes, partition_keys=keys
         )
-        self.metrics.peak_datasets_stored = max(
-            self.metrics.peak_datasets_stored, len(self._records)
-        )
+        self.obs.gauge("peak_datasets_stored").set_max(len(self._records))
         self.trace.emit(
             "composite_registered",
             dataset=dataset_id,
@@ -287,9 +286,6 @@ class Cluster:
         nbytes = slot.nbytes
         if slot.in_memory:
             node.touch(key, self.clock.now)
-            access = dict(node=node.id, dataset=dataset_id)
-            self.obs.counter("partition_hits", **access).inc()
-            self.obs.counter("bytes_read_memory", **access).inc(nbytes)
             seconds = self.cost_model.mem_read_time(nbytes)
             self.trace.emit(
                 "dataset_access",
@@ -307,9 +303,6 @@ class Cluster:
         # only re-enters memory as part of newly produced outputs.  An
         # eviction of still-needed data therefore costs one disk read per
         # future access, which is exactly what AMM's preference weighs.
-        access = dict(node=node.id, dataset=dataset_id)
-        self.obs.counter("partition_misses", **access).inc()
-        self.obs.counter("bytes_read_disk", **access).inc(nbytes)
         node.touch(key, self.clock.now)
         seconds = self.cost_model.disk_read_time(nbytes)
         self.trace.emit(
@@ -402,7 +395,6 @@ class Cluster:
                 ranking=ranking,
             )
             node.demote(victim.key).evicted = True
-            self.policy.record_eviction(self.obs, node, victim, spilled)
             if spilled:
                 seconds += self.cost_model.disk_write_time(victim.nbytes)
             # else: the policy knows the data is dead — dropped for free
@@ -557,10 +549,6 @@ class Cluster:
             return 0.0
         slot = node.slot(key)
         seconds = self.cost_model.disk_read_time(slot.nbytes)
-        self.obs.counter(
-            "bytes_read_disk", node=node.id, dataset=record.dataset_id
-        ).inc(slot.nbytes)
-        self.obs.counter("recoveries", node=node.id).inc()
         if promote and not slot.in_memory:
             seconds += self._ensure_space(node, slot.nbytes)
             if node.free_memory() >= slot.nbytes:
@@ -654,11 +642,7 @@ class Cluster:
         self._dead.clear()
         self.busy_seconds = {}
         self.clock.reset()
-        self.obs = MetricsRegistry()
-        self.metrics = Metrics().bind(self.obs)
-        self.trace = Trace(clock=self.clock)
-        self._watch_nodes()
-        self._wire_trace()
+        self._start_recording()
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

@@ -6,14 +6,12 @@ This module tracks both, plus eviction counts, byte volumes, per-category
 time breakdowns, and pruning statistics, so every figure of §6.2–§6.4 can
 be regenerated.
 
-Since the labeled registry landed (:mod:`repro.obs.registry`), a cluster's
-``Metrics`` is a *derived view*: :meth:`Metrics.bind` attaches it to the
-cluster's :class:`~repro.obs.registry.MetricsRegistry`, after which every
-field read aggregates the labeled series (sum for counters, max for
-peaks) and every field write is forwarded as a counter increment / gauge
-ratchet.  Existing callers — ``as_dict()`` consumers, ``merge()`` over
-baseline runs, plain ``Metrics()`` literals in tests — keep working
-unchanged: an unbound instance behaves exactly as the old dataclass did.
+A ``Metrics`` is a plain snapshot of the job-global totals in a
+cluster's labeled :class:`~repro.obs.registry.MetricsRegistry`
+(:meth:`Metrics.from_registry`): each field sums its family's series (or
+takes the maximum, for peaks).  ``JobResult.metrics`` is the snapshot
+taken at job end, so a finished result never changes; code that needs a
+value mid-run reads the registry.
 """
 
 from __future__ import annotations
@@ -58,40 +56,17 @@ class Metrics:
     task_retries: int = 0
     speculative_tasks: int = 0
 
-    # --------------------------------------------------------- registry view
-    def bind(self, registry) -> "Metrics":
-        """Turn this instance into a live view over a metrics registry.
-
-        Bound, every field read aggregates the registry's labeled series
-        under the same name and every write forwards the delta, so the two
-        observability layers cannot drift apart.
-        """
-        object.__setattr__(self, "_registry", registry)
-        return self
-
-    def __getattribute__(self, name: str):
-        if name in _FIELD_NAMES:
-            registry = object.__getattribute__(self, "__dict__").get("_registry")
-            if registry is not None:
-                if name in _MAX_FIELDS:
-                    value = registry.max_value(name)
-                else:
-                    value = registry.value(name)
-                return value if name in _FLOAT_FIELDS else int(value)
-        return object.__getattribute__(self, name)
-
-    def __setattr__(self, name: str, value) -> None:
-        if name in _FIELD_NAMES:
-            registry = object.__getattribute__(self, "__dict__").get("_registry")
-            if registry is not None:
-                if name in _MAX_FIELDS:
-                    registry.gauge(name).set_max(value)
-                else:
-                    delta = value - registry.value(name)
-                    if delta:
-                        registry.counter(name).inc(delta)
-                return
-        object.__setattr__(self, name, value)
+    @classmethod
+    def from_registry(cls, registry) -> "Metrics":
+        """The registry's job-global totals, one field per family."""
+        values = {}
+        for name in _FIELD_NAMES:
+            if name in _MAX_FIELDS:
+                value = registry.max_value(name)
+            else:
+                value = registry.value(name)
+            values[name] = value if name in _FLOAT_FIELDS else int(value)
+        return cls(**values)
 
     # ------------------------------------------------------------ aggregates
     @property
@@ -116,7 +91,7 @@ class Metrics:
         for name in _FIELD_NAMES:
             mine, theirs = getattr(self, name), getattr(other, name)
             combined = max(mine, theirs) if name in _MAX_FIELDS else mine + theirs
-            object.__setattr__(merged, name, combined)
+            setattr(merged, name, combined)
         return merged
 
     def as_dict(self) -> Dict[str, float]:

@@ -45,14 +45,15 @@ def apply_stragglers(
     per_node_seconds: Dict[str, float],
     profile: StragglerProfile,
     speculation: SpeculationConfig,
-    metrics=None,
+    registry=None,
 ) -> Dict[str, float]:
     """Stretch per-node stage times by straggler factors, then mitigate.
 
     Returns the adjusted per-node seconds.  With speculation enabled, a
     straggling node's share is capped at the time a backup copy on the
     fastest node would take (its own nominal work plus restart overhead,
-    executed at the fastest node's speed).
+    executed at the fastest node's speed).  Each backup that wins is
+    counted as ``speculative_tasks`` in ``registry`` when one is given.
     """
     stretched = {
         node_id: seconds * profile.factor(node_id)
@@ -73,7 +74,7 @@ def apply_stragglers(
             backup_finish = median + backup
             if backup_finish < seconds:
                 seconds = backup_finish
-                if metrics is not None:
-                    metrics.speculative_tasks += 1
+                if registry is not None:
+                    registry.counter("speculative_tasks").inc()
         mitigated[node_id] = seconds
     return mitigated

@@ -130,10 +130,10 @@ class StageExecutor:
         profile = self.config.stragglers
         if profile is not None:
             per_node_io = apply_stragglers(
-                per_node_io, profile, self.config.speculation, self.cluster.metrics
+                per_node_io, profile, self.config.speculation, self.cluster.obs
             )
             per_node_compute = apply_stragglers(
-                per_node_compute, profile, self.config.speculation, self.cluster.metrics
+                per_node_compute, profile, self.config.speculation, self.cluster.obs
             )
         if consume_faults and self._pending_task_faults:
             faults, self._pending_task_faults = self._pending_task_faults, {}
@@ -151,7 +151,6 @@ class StageExecutor:
                 )
                 per_node_io[node_id] = node_io * (1 + attempts)
                 per_node_compute[node_id] = node_compute * (1 + attempts) + backoff
-                self.cluster.obs.counter("task_retries", node=node_id).inc(attempts)
                 self.cluster.trace.emit(
                     "task_retried",
                     node=node_id,
@@ -229,7 +228,6 @@ class StageExecutor:
         """Account one consulted-but-executed stage (cache off stays silent)."""
         cache = self.config.cache
         cache.stats.misses += 1
-        self.cluster.obs.counter("cache_misses").inc()
         tenant = getattr(cache, "tenant", None)
         if tenant:
             self.cluster.obs.counter("cache_tenant_misses", policy=tenant).inc()
@@ -422,12 +420,8 @@ class StageExecutor:
         cache.stats.bytes_saved += hit.total_bytes
         cache.stats.compute_seconds_saved += saved_seconds
         obs = self.cluster.obs
-        labels = dict(dataset=dataset_id, policy=hit.tier)
-        obs.counter("cache_hits", **labels).inc()
-        obs.counter("cache_bytes_saved", **labels).inc(hit.total_bytes)
-        obs.counter("cache_compute_seconds_saved", **labels).inc(saved_seconds)
         # tenant-labelled accounting (shared cross-tenant stores only; these
-        # counters are additive — not part of the bridge's replay views)
+        # counters are additive — not part of the fold's replay views)
         tenant = getattr(cache, "tenant", None)
         if tenant:
             obs.counter("cache_tenant_hits", policy=tenant).inc()
@@ -629,9 +623,6 @@ class StageExecutor:
         out_bytes_list: List[int] = []
         for partition in raw.partitions:
             node = self.cluster.node_for_partition(partition.index)
-            self.cluster.obs.counter(
-                "bytes_read_disk", node=node.id, dataset=raw.id
-            ).inc(partition.nominal_bytes)
             self.cluster.trace.emit(
                 "source_read",
                 dataset=raw.id,
@@ -843,7 +834,6 @@ class StageExecutor:
                 self.cluster.cost_model.compute_time(cost)
             )
         score = evaluator.score(dataset)
-        self.cluster.obs.counter("choose_evaluations", dataset=dataset.id).inc()
         self.cluster.trace.emit(
             "choose_evaluation",
             evaluator=evaluator.name,
@@ -890,7 +880,6 @@ class StageExecutor:
             serial = sum(per_node_compute.values())
             per_node_compute = {"master": serial}
             per_node_tasks = {"master": record.num_partitions}
-        self.cluster.obs.counter("choose_evaluations", dataset=dataset_id).inc()
         self.cluster.trace.emit(
             "choose_evaluation",
             evaluator=evaluator.name,

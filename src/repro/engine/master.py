@@ -33,7 +33,6 @@ from ..core.mdf import MDF, Scope
 from ..core.operators import Join, Operator, Sink, Source
 from ..core.optimizations import make_pruner, plan_optimizations
 from ..core.stages import Stage, StageGraph
-from ..prof.spans import registry_categories
 from .backends import SerialBackend
 from .executor import StageExecutor, StageTimes
 from .job import ChooseDecision, EngineConfig, JobResult, StageTrace
@@ -120,7 +119,7 @@ class Master:
         self.executor = StageExecutor(cluster, self.config, backend)
         self.stage_graph = StageGraph(mdf)
         self.score_store = ChooseScoreStore()
-        self.result = JobResult(metrics=cluster.metrics, events=cluster.trace)
+        self.result = JobResult(events=cluster.trace)
 
         # --- schedule state
         self._executed: Set[str] = set()
@@ -152,7 +151,6 @@ class Master:
         self._branch_stage_ids: Dict[str, Set[str]] = {}
         self._tail_stage_to_branch: Dict[str, Tuple[str, Branch]] = {}
         self._context = SchedulerContext()
-        self._context.registry = cluster.obs
         self._context.stage_graph = self.stage_graph
         self._context.num_workers = cluster.num_workers
         if getattr(self.scheduler, "needs_estimates", False):
@@ -170,11 +168,6 @@ class Master:
             self._context.stage_costs = {
                 e.stage_id: e.pessimistic_seconds for e in estimate.stages
             }
-        #: set by the RecoveryManager around §5 failure handling, so stage
-        #: re-executions are attributed to "recovery" rather than their
-        #: normal component split (the profiler applies the same rule by
-        #: pairing stage_reexecuted announcements with completions)
-        self._in_recovery = False
         self._prepare_scopes()
         self._prepare_schedule()
         self._bind_policy()
@@ -355,7 +348,6 @@ class Master:
     def _note_uncacheable(self, stage: Stage) -> None:
         cache = self.config.cache
         cache.stats.misses += 1
-        self.cluster.obs.counter("cache_misses").inc()
         self.cluster.trace.emit(
             "cache_miss", stage=stage.id, fingerprint=None, reason="unfingerprintable"
         )
@@ -429,8 +421,8 @@ class Master:
             )
             # Everything the stage causes — loads, stores, evictions, the
             # deferred choose evaluation — is attributed to it through the
-            # ambient label context (the trace→metrics bridge applies the
-            # same rule: events after a stage_scheduled belong to it).
+            # ambient label context (the registry fold applies the same
+            # rule: events after a stage_scheduled belong to it).
             with obs.label_context(stage=stage.id, branch=stage.branch_id):
                 if stage.is_choose:
                     self._execute_choose_stage(stage)
@@ -451,6 +443,7 @@ class Master:
             raise SchedulingError(f"schedule stalled with pending stages: {unfinished}")
         self._surface_unfired_failures()
         self.result.completion_time = self.cluster.clock.now
+        self.result.metrics = self.cluster.metrics
         return self.result
 
     def _maybe_fail(self, stage_index: int) -> None:
@@ -548,7 +541,6 @@ class Master:
             "task_dispatched", stage=stage.id, num_tasks=outcome.num_tasks
         )
         self._advance(outcome.times, stage, started)
-        self.cluster.metrics.stages_executed += 1
         if input_id is not None:
             self._consume(input_id, head)
         self._mark_done(stage)
@@ -587,7 +579,6 @@ class Master:
             "task_dispatched", stage=stage.id, num_tasks=outcome.num_tasks
         )
         self._advance(outcome.times, stage, started)
-        self.cluster.metrics.stages_executed += 1
         for input_id in (left_id, right_id):
             self._consume(input_id, head)
         self._mark_done(stage)
@@ -632,9 +623,6 @@ class Master:
             self.cluster.cost_model.disk_write_time(record.nbytes)
             * config.overhead_fraction
         )
-        self.cluster.obs.counter(
-            "bytes_written_disk", dataset=output_dataset_id
-        ).inc(int(record.nbytes * config.overhead_fraction))
         self.cluster.trace.emit(
             "checkpoint_written",
             dataset=output_dataset_id,
@@ -864,7 +852,6 @@ class Master:
 
     def _prune_branch(self, runtime: _ScopeRuntime, branch: Branch, reason: str) -> None:
         runtime.pruned.add(branch.id)
-        self.cluster.obs.counter("branches_pruned", branch=branch.id).inc()
         pruned_ops: Set[str] = set()
         pruned_stage_ids: List[str] = []
         for stage_id in self._branch_stage_ids[branch.id]:
@@ -1015,15 +1002,6 @@ class Master:
         self.result.wall_io += times.io
         self.result.wall_network += times.network
         finished = self.cluster.clock.now
-        for category, seconds in registry_categories(
-            times.io,
-            times.compute,
-            times.network,
-            times.overhead,
-            activity=activity,
-            recovery=self._in_recovery and stage is not None,
-        ).items():
-            self.cluster.obs.counter(f"profile_{category}_seconds").inc(seconds)
         if stage is not None:
             self.cluster.obs.histogram(
                 "stage_seconds", stage=stage.id, branch=stage.branch_id

@@ -65,10 +65,10 @@ class ListScheduler(Scheduler):
         chooses = _choose_candidates(ready)
         if chooses:
             self.last_rationale = "choose-first"
-            return self._record(context, min(chooses, key=lambda s: s.index))
+            return min(chooses, key=lambda s: s.index)
         best = max(ready, key=lambda s: (context.upward_rank(s), -s.index))
         self.last_rationale = "max-upward-rank"
-        return self._record(context, best)
+        return best
 
 
 class SpeculativeScheduler(Scheduler):
@@ -90,7 +90,7 @@ class SpeculativeScheduler(Scheduler):
     def _pick(self, context: SchedulerContext, stage: Stage) -> Stage:
         if stage.branch_id is not None:
             self._started.add(stage.branch_id)
-        return self._record(context, stage)
+        return stage
 
     def _depth(self, context: SchedulerContext, stage: Stage) -> int:
         info = context.branch_info(stage)
@@ -156,7 +156,7 @@ class WorkStealingScheduler(Scheduler):
             self.last_rationale = "steal-largest"
         lane = min(range(len(self._lane_load)), key=lambda i: (self._lane_load[i], i))
         self._lane_load[lane] += context.stage_cost(stage)
-        return self._record(context, stage)
+        return stage
 
 
 class RandomScheduler(Scheduler):
@@ -174,7 +174,7 @@ class RandomScheduler(Scheduler):
 
     def select(self, ready, last_executed, successors_of_last, context) -> Stage:
         self.last_rationale = "uniform-random"
-        return self._record(context, ready[int(self.rng.integers(len(ready)))])
+        return ready[int(self.rng.integers(len(ready)))]
 
 
 # ------------------------------------------------------------------ registry

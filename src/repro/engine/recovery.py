@@ -21,9 +21,8 @@ only for its bytes, never for its score — the recovery path records
 no extra ``choose_evaluations`` happen.
 
 Every re-executed stage emits ``stage_reexecuted`` before any of its work,
-so the trace→metrics bridge attributes the recovery loads/stores to the
-re-executed stage the same way the live registry's ambient label context
-does.  The total charge of one failure lands in the ``recovery_seconds``
+so the registry fold attributes the recovery loads/stores to the
+re-executed stage the same way the ambient label context does.  The total charge of one failure lands in the ``recovery_seconds``
 histogram (per failed node), making the §5 exactness claim checkable:
 ``completion_time(failed) - completion_time(clean) == Σ recovery_seconds``.
 """
@@ -69,21 +68,6 @@ class RecoveryManager:
         cluster = self.cluster
         master = self.master
         started = cluster.clock.now
-        # everything the clock pays for until we return is §5 recovery:
-        # the profiler's "recovery" category and the live profile counters
-        # both key off this flag (re-executed stages) plus the
-        # recovery_reload activity tag (checkpoint reloads)
-        master._in_recovery = True
-        try:
-            return self._handle_failure(report, stage_index, started)
-        finally:
-            master._in_recovery = False
-
-    def _handle_failure(
-        self, report: FailureReport, stage_index: int, started: float
-    ) -> float:
-        cluster = self.cluster
-        master = self.master
         dropped: Dict[Optional[str], List[PartitionKey]] = {}
         recompute: Dict[str, List[PartitionKey]] = {}
         for key in report.lost:
@@ -275,7 +259,7 @@ class RecoveryManager:
 
         Inputs are secured *first* (recursively recomputing or transiently
         rebuilding them), then ``stage_reexecuted`` is emitted, so by the
-        time the bridge re-attributes metrics to this stage every read it
+        time the fold re-attributes metrics to this stage every read it
         performs is backed by real data — exactly what
         ``check_recovery_sound`` verifies.
         """
@@ -310,7 +294,6 @@ class RecoveryManager:
             ]
         )
         with cluster.obs.label_context(stage=stage.id, branch=stage.branch_id):
-            cluster.obs.counter("stages_reexecuted").inc()
             started = cluster.clock.now
             if isinstance(head, Source):
                 # sources re-read the job input and re-register wholesale
@@ -342,7 +325,6 @@ class RecoveryManager:
             cluster.trace.emit(
                 "task_dispatched", stage=stage.id, num_tasks=outcome.num_tasks
             )
-            cluster.metrics.stages_executed += 1
             master._advance(outcome.times, stage, started)
             if missing:
                 self._note_recovered(into_id, missing)
@@ -408,8 +390,6 @@ class RecoveryManager:
             except ValueError:
                 continue  # record was replaced wholesale (repartitioned)
             node_id = record.partition_nodes[pos]
-            self.cluster.obs.counter("recoveries", node=node_id).inc()
-            self.cluster.obs.counter("recovery_reexecutions", node=node_id).inc()
             self.cluster.trace.emit(
                 "recovery",
                 dataset=into_id,

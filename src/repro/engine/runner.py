@@ -174,7 +174,7 @@ def run_mdf(
         if hook is not None:
             hook.record(monitor, hook_buffer, result)
     if sampler is not None:
-        result.telemetry = Telemetry(cluster.obs, sampler, metrics=cluster.metrics)
+        result.telemetry = Telemetry(cluster.obs, sampler, metrics=result.metrics)
     if validate is None:
         validate = auto_validate_enabled()
     if validate:

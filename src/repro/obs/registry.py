@@ -247,9 +247,10 @@ class MetricsRegistry:
     """Per-job store of labeled instruments plus the ambient label context.
 
     The cluster owns one registry per run (reset with the cluster, like the
-    decision trace); the master, executor, scheduler and memory manager all
-    record into it.  Aggregation helpers power the derived
-    :class:`~repro.cluster.metrics.Metrics` view and the exporters.
+    decision trace); the trace's :class:`~repro.obs.bridge.RegistryFold`
+    and the engine's direct calls record into it.  Aggregation helpers
+    power the :class:`~repro.cluster.metrics.Metrics` snapshot and the
+    exporters.
 
     ``label_names`` defaults to the engine dimensions; pass a different
     tuple to build a registry for another altitude (the service plane

@@ -73,9 +73,9 @@ class TimelineSampler:
     """Samples cluster state at a fixed simulated-time interval.
 
     Attach before the job runs, detach after; ``samples`` then holds the
-    series.  The sampler reads the cluster's nodes, metrics view and the
-    ``live_branches`` gauge from the cluster's registry — it never touches
-    the clock itself, so attaching it cannot perturb execution.
+    series.  The sampler reads the cluster's nodes and its registry (read
+    bytes, evictions, the ``live_branches`` gauge) — it never touches the
+    clock itself, so attaching it cannot perturb execution.
     """
 
     def __init__(self, cluster, interval: float = 0.25, max_samples: int = 4096):
@@ -146,7 +146,9 @@ class TimelineSampler:
 
     def _record(self, t: float) -> None:
         cluster = self.cluster
-        metrics = cluster.metrics
+        obs = cluster.obs
+        memory_bytes = obs.value("bytes_read_memory")
+        read_bytes = memory_bytes + obs.value("bytes_read_disk")
         per_node = {node.id: node.mem_used for node in cluster.nodes}
         busy = {
             node.id: cluster.busy_seconds.get(node.id, 0.0)
@@ -158,10 +160,10 @@ class TimelineSampler:
                 t=t,
                 memory_in_use=sum(per_node.values()),
                 memory_capacity=sum(node.mem_capacity for node in cluster.nodes),
-                hit_ratio=metrics.memory_hit_ratio,
-                live_branches=int(cluster.obs.max_value("live_branches")),
+                hit_ratio=memory_bytes / read_bytes if read_bytes else 1.0,
+                live_branches=int(obs.max_value("live_branches")),
                 live_datasets=cluster.live_dataset_count(),
-                evictions=metrics.evictions,
+                evictions=int(obs.value("evictions")),
                 per_node_memory=per_node,
                 per_node_busy=busy,
                 utilisation=self._utilisation(prev, t, busy),

@@ -11,6 +11,9 @@ Gate mode (CI perf-regression check over simulated completion times)::
 
     python -m repro.prof --gate benchmarks/baselines.json
     python -m repro.prof --gate benchmarks/baselines.json --update
+
+Gate exit codes: 0 passed (or baselines written), 1 a scenario regressed,
+2 the baseline file is missing a scenario or pins a stale one.
 """
 
 from __future__ import annotations
@@ -97,15 +100,23 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def run_gate_mode(args) -> int:
-    from .gate import DEFAULT_TOLERANCE, run_gate  # engine import: keep lazy
+    """Exit 0 when the gate passes (or baselines were written), 1 when a
+    scenario regressed, 2 when the baseline file does not pin exactly the
+    current scenarios."""
+    # engine import: keep lazy
+    from .gate import DEFAULT_TOLERANCE, BaselineMismatch, run_gate
 
     tolerance = DEFAULT_TOLERANCE if args.tolerance is None else args.tolerance
-    report = run_gate(
-        args.gate,
-        tolerance=tolerance,
-        update=args.update,
-        slowdown=args.inject_slowdown,
-    )
+    try:
+        report = run_gate(
+            args.gate,
+            tolerance=tolerance,
+            update=args.update,
+            slowdown=args.inject_slowdown,
+        )
+    except BaselineMismatch as exc:
+        print(f"gate ERROR: {exc.args[0]}", file=sys.stderr)
+        return 2
     if report.updated:
         print(f"baselines written to {args.gate}")
         return 0

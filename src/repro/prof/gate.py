@@ -163,6 +163,10 @@ def measure(slowdown: float = 1.0) -> Dict[str, float]:
     return {name: fn() * slowdown for name, fn in SCENARIOS.items()}
 
 
+class BaselineMismatch(KeyError):
+    """The baseline file does not pin exactly the current scenarios."""
+
+
 def run_gate(
     baseline_path,
     tolerance: float = DEFAULT_TOLERANCE,
@@ -172,14 +176,15 @@ def run_gate(
     """Compare measured completion times against the committed baseline.
 
     The baseline must pin exactly the current scenarios: a missing one
-    and a stale key (a scenario that no longer exists) are both errors.
+    and a stale key (a scenario that no longer exists) both raise
+    :class:`BaselineMismatch` before anything is measured.
     """
     if not update:
         with open(baseline_path) as fh:
             baselines = json.load(fh).get("scenarios", {})
         for name in sorted(set(SCENARIOS) ^ set(baselines)):
             problem = "missing from" if name in SCENARIOS else "stale in"
-            raise KeyError(
+            raise BaselineMismatch(
                 f"scenario {name!r} {problem} {baseline_path}; re-run with --update"
             )
     measured = measure(slowdown=slowdown)
@@ -203,6 +208,7 @@ def run_gate(
 
 
 __all__ = [
+    "BaselineMismatch",
     "DEFAULT_TOLERANCE",
     "GateReport",
     "GateRow",

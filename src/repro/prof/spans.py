@@ -46,8 +46,8 @@ def registry_categories(
 ) -> Dict[str, float]:
     """Map one span's components to the coarse registry categories.
 
-    This is the single source of truth shared by the live counters
-    (``Master._advance``), the trace→metrics bridge and the profiler:
+    This is the single source of truth shared by the registry fold
+    (:class:`~repro.obs.bridge.RegistryFold`) and the profiler:
     recovery time (a re-executed stage or a checkpoint reload) is charged
     whole to ``recovery``, choose evaluation + selection whole to
     ``evaluator``, and everything else splits by component.  The finer

@@ -92,8 +92,8 @@ EVENT_SCHEMA: Dict[str, frozenset] = {
         {"dataset", "index", "node", "hit", "nbytes", "seconds", "reload"}
     ),
     # a partition landing at a node (tier "memory" or "disk").  Distinct
-    # from dataset_access so the trace→metrics bridge can rebuild the
-    # per-tier byte-written counters without guessing store sizes.
+    # from dataset_access so the registry fold can derive the per-tier
+    # byte-written counters without guessing store sizes.
     "partition_stored": frozenset({"dataset", "index", "node", "nbytes", "tier"}),
     # the source stage streaming the job input from distributed storage.
     # Not a dataset_access: the raw input is never a registered dataset,
@@ -185,13 +185,22 @@ class Trace:
     bad dashboard must never kill a job — and the optional
     ``on_subscriber_error`` hook (wired by the cluster to the
     ``live_subscriber_errors`` obs counter) is informed.
+
+    **Fold**: the cluster's trace carries a
+    :class:`~repro.obs.bridge.RegistryFold` over the cluster's metrics
+    registry.  ``emit`` applies it to each committed event *before*
+    notifying subscribers, so a subscriber reading the registry sees
+    counters that already include the event.  The fold is part of the
+    engine, not a subscriber: an exception in it propagates.
     """
 
-    def __init__(self, clock=None, strict: bool = True):
+    def __init__(self, clock=None, strict: bool = True, fold=None):
         self.events: List[TraceEvent] = []
         self._clock = clock  # duck-typed: anything with a ``.now`` float
         self.strict = strict
         self.enabled = True
+        #: duck-typed: anything with ``apply(event)``
+        self.fold = fold
         self._subscribers: List[Callable[[TraceEvent], None]] = []
         #: called as ``hook(subscriber, exception)`` when a subscriber
         #: raises (after the subscriber has been detached); set by the
@@ -263,7 +272,8 @@ class Trace:
 
         Return contract: the *committed* :class:`TraceEvent` — or ``None``
         if and only if the trace is disabled (``enabled = False``), in
-        which case nothing was recorded and no subscriber is invoked.
+        which case nothing was recorded, nothing was folded and no
+        subscriber is invoked.
         Subscribers are therefore never called with ``None``: every
         notification carries a real, already-appended event.  On a strict
         trace a malformed emission raises *before* anything is appended,
@@ -285,6 +295,8 @@ class Trace:
         t = float(self._clock.now) if self._clock is not None else 0.0
         event = TraceEvent(len(self.events), t, kind, data)
         self.events.append(event)
+        if self.fold is not None:
+            self.fold.apply(event)
         if self._subscribers:
             self._notify(event)
         return event

@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.cluster.metrics import Metrics
 from repro.cluster.stragglers import (
     SpeculationConfig,
     StragglerProfile,
     apply_stragglers,
 )
+from repro.obs import MetricsRegistry
 
 
 def times(**kw):
@@ -58,32 +58,32 @@ class TestSpeculation:
         assert out["w0"] == pytest.approx(1.6)
 
     def test_metrics_counted(self):
-        metrics = Metrics()
+        registry = MetricsRegistry()
         profile = StragglerProfile({"w0": 10.0})
         apply_stragglers(
             times(w0=1.0, w1=1.0, w2=1.0),
             profile,
             SpeculationConfig(enabled=True),
-            metrics,
+            registry,
         )
-        assert metrics.speculative_tasks == 1
+        assert registry.value("speculative_tasks") == 1
 
     def test_even_node_count_uses_true_median(self):
         """Regression: the cutoff once used the upper-middle value instead
         of the median, so on 4-node clusters a straggler could hide below
         the inflated threshold and never get a backup."""
-        metrics = Metrics()
+        registry = MetricsRegistry()
         profile = StragglerProfile({"w3": 2.8})
         out = apply_stragglers(
             times(w0=1.0, w1=1.0, w2=2.0, w3=1.0),
             profile,
             SpeculationConfig(enabled=True, threshold=1.5, restart_overhead=0.1),
-            metrics,
+            registry,
         )
         # stretched = [1.0, 1.0, 2.0, 2.8]: true median 1.5 -> cutoff 2.25
         # flags w3 (2.8); the upper-middle bug put the cutoff at 3.0 and
         # silently skipped speculation.  backup finish = 1.5 + 1.1 = 2.6.
-        assert metrics.speculative_tasks == 1
+        assert registry.value("speculative_tasks") == 1
         assert out["w3"] == pytest.approx(2.6)
         assert out["w2"] == pytest.approx(2.0)
 

@@ -1,6 +1,7 @@
-"""Golden decision traces: canonical recordings + regeneration entry point.
+"""Golden decision traces and Prometheus exports: canonical recordings +
+regeneration entry point.
 
-The two recorded workloads:
+The recorded workloads:
 
 * ``quickstart`` — ``examples/quickstart.py`` on a roomy 4-worker cluster
   (the exact job every new user runs first);
@@ -12,7 +13,15 @@ per-graph, and the JSONL encoding is canonical (sorted keys, compact
 separators).  Any engine change that alters a decision — scheduling
 order, eviction victim, pruning point — shows up as a byte diff.
 
-Regenerate after an *intended* decision change with::
+Next to each trace sits ``<name>.prom``: the Prometheus export of the
+run's labeled registry (``prometheus_text(cluster.obs)``), which pins
+every counter's value *and* its labels.  Two runs are recorded only as
+exports: ``session`` (two jobs on one cluster with ``reset=False``, so
+registry state carries across runs) and ``failure_cache`` (a cold run
+with a result cache, then a warm re-run that serves cache hits while a
+node failure and transient task failures are injected).
+
+Regenerate traces and exports together after an *intended* change with::
 
     PYTHONPATH=src python -m tests.golden.regenerate
 
@@ -24,7 +33,21 @@ from __future__ import annotations
 import importlib.util
 from pathlib import Path
 
-from repro import CallableEvaluator, Cluster, GB, MB, MDFBuilder, Min, run_mdf
+from repro import (
+    CallableEvaluator,
+    CheckpointConfig,
+    Cluster,
+    EngineConfig,
+    FailureInjector,
+    GB,
+    MB,
+    MDFBuilder,
+    Min,
+    ResultCache,
+    prometheus_text,
+    run_mdf,
+)
+from repro.cluster.fault import TaskFailureEvent
 
 GOLDEN_DIR = Path(__file__).resolve().parent
 REPO_ROOT = GOLDEN_DIR.parents[1]
@@ -41,6 +64,11 @@ GOLDEN_FILES = {
     "policy_wsteal": GOLDEN_DIR / "policy_wsteal.trace.jsonl",
     "policy_random": GOLDEN_DIR / "policy_random.trace.jsonl",
 }
+
+
+def prom_path(name: str) -> Path:
+    """The golden Prometheus export of one recorded run."""
+    return GOLDEN_DIR / f"{name}.prom"
 
 
 def load_quickstart_module():
@@ -74,26 +102,31 @@ def build_explore_choose_mdf():
     return builder.build()
 
 
+# Every recorder returns ``(result, cluster)``: the trace is
+# ``result.events``, the registry ``cluster.obs``.
+
+
 def record_quickstart():
     mdf = load_quickstart_module().build_quickstart_mdf()
     cluster = Cluster(num_workers=4, mem_per_worker=1 * GB)
-    return run_mdf(mdf, cluster, scheduler="bas", memory="amm", validate=True)
+    result = run_mdf(mdf, cluster, scheduler="bas", memory="amm", validate=True)
+    return result, cluster
 
 
 def record_explore_choose():
     mdf = build_explore_choose_mdf()
     cluster = Cluster(num_workers=2, mem_per_worker=48 * MB)
-    return run_mdf(mdf, cluster, scheduler="bas", memory="amm", validate=True)
+    result = run_mdf(mdf, cluster, scheduler="bas", memory="amm", validate=True)
+    return result, cluster
 
 
 def _record_lab_policy(workload_name: str, scheduler: str):
     """One lab-zoo workload under one contender scheduler (validated)."""
     from repro.lab.workloads import get_workload
 
-    result, _ = get_workload(workload_name).run(
+    return get_workload(workload_name).run(
         scheduler=scheduler, memory="amm", validate=True
     )
-    return result
 
 
 def record_policy_heft():
@@ -112,6 +145,42 @@ def record_policy_random():
     return _record_lab_policy("filter_min", "random")
 
 
+def record_session():
+    """Two jobs on one starved cluster, the second with ``reset=False``."""
+    cluster = Cluster(num_workers=2, mem_per_worker=48 * MB)
+    run_mdf(build_explore_choose_mdf(), cluster, scheduler="bas", memory="amm")
+    mdf = load_quickstart_module().build_quickstart_mdf()
+    result = run_mdf(mdf, cluster, scheduler="bfs", memory="lru", reset=False)
+    return result, cluster
+
+
+def record_failure_cache():
+    """A warm, cache-hitting re-run that survives injected failures.
+
+    The cold run fills a :class:`~repro.cache.ResultCache` (with periodic
+    checkpoints, so the later failure has both reloads and recomputes);
+    the warm run reuses the cluster, hits the cache, loses ``worker-1``
+    at stage 2 and retries ``worker-0``'s tasks twice at stage 1.
+    """
+    mdf = load_quickstart_module().build_quickstart_mdf()
+    cluster = Cluster(num_workers=4, mem_per_worker=512 * MB)
+    cache = ResultCache()
+    checkpoints = CheckpointConfig(interval_stages=2)
+    run_mdf(
+        mdf,
+        cluster,
+        config=EngineConfig(pruning=False, cache=cache, checkpointing=checkpoints),
+        validate=True,
+    )
+    failures = FailureInjector.at_stages([(2, "worker-1")])
+    failures.task_events.append(TaskFailureEvent(1, "worker-0", attempts=2))
+    config = EngineConfig(
+        pruning=False, cache=cache, checkpointing=checkpoints, failures=failures
+    )
+    result = run_mdf(mdf, cluster, config=config, reset=False, validate=True)
+    return result, cluster
+
+
 RECORDERS = {
     "quickstart": record_quickstart,
     "explore_choose": record_explore_choose,
@@ -121,13 +190,24 @@ RECORDERS = {
     "policy_random": record_policy_random,
 }
 
+#: runs pinned by their Prometheus export only (every trace recorder too)
+PROM_RECORDERS = {
+    **RECORDERS,
+    "session": record_session,
+    "failure_cache": record_failure_cache,
+}
+
 
 def main() -> None:
-    for name, record in RECORDERS.items():
-        result = record()
-        path = GOLDEN_FILES[name]
-        result.events.save_jsonl(path)
-        print(f"{name}: {len(result.events)} events -> {path}")
+    for name, record in PROM_RECORDERS.items():
+        result, cluster = record()
+        if name in GOLDEN_FILES:
+            path = GOLDEN_FILES[name]
+            result.events.save_jsonl(path)
+            print(f"{name}: {len(result.events)} events -> {path}")
+        path = prom_path(name)
+        path.write_text(prometheus_text(cluster.obs))
+        print(f"{name}: registry export -> {path}")
 
 
 if __name__ == "__main__":

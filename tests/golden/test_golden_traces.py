@@ -1,16 +1,18 @@
 """Golden-trace regression: canonical workloads reproduce byte-for-byte.
 
 Any drift in a scheduling, eviction, pruning or discard decision changes
-the recorded JSONL and fails here.  For *intended* decision changes,
-regenerate with ``PYTHONPATH=src python -m tests.golden.regenerate`` and
-review the diff.
+the recorded JSONL and fails here; any drift in a registry counter's
+value or labels changes the recorded Prometheus export.  For *intended*
+changes, regenerate with ``PYTHONPATH=src python -m tests.golden.regenerate``
+and review the diff.
 """
 
 import pytest
 
+from repro import prometheus_text
 from repro.trace import Trace, validate_trace
 
-from .regenerate import GOLDEN_FILES, RECORDERS
+from .regenerate import GOLDEN_FILES, PROM_RECORDERS, RECORDERS, prom_path
 
 
 @pytest.mark.parametrize("name", sorted(RECORDERS))
@@ -21,7 +23,7 @@ class TestGoldenTraces:
             f"golden trace {path} missing — regenerate with "
             f"`PYTHONPATH=src python -m tests.golden.regenerate`"
         )
-        result = RECORDERS[name]()
+        result, _ = RECORDERS[name]()
         assert result.events.to_jsonl() == path.read_text(), (
             f"decision trace of {name!r} drifted from the golden recording; "
             f"if the change is intended, regenerate via "
@@ -32,6 +34,21 @@ class TestGoldenTraces:
         """The recordings themselves must pass all four validators."""
         trace = Trace.load_jsonl(GOLDEN_FILES[name])
         assert validate_trace(trace) == []
+
+
+@pytest.mark.parametrize("name", sorted(PROM_RECORDERS))
+def test_registry_export_reproduces_byte_for_byte(name):
+    """The run's labeled registry, exported, equals the recording: every
+    counter keeps its value and its full label set."""
+    path = prom_path(name)
+    assert path.exists(), (
+        f"golden export {path} missing — regenerate with "
+        f"`PYTHONPATH=src python -m tests.golden.regenerate`"
+    )
+    _, cluster = PROM_RECORDERS[name]()
+    assert prometheus_text(cluster.obs) == path.read_text(), (
+        f"registry export of {name!r} drifted from the golden recording"
+    )
 
 
 class TestGoldenCoverage:

@@ -48,7 +48,7 @@ class TestExactConvergence:
     def test_eta_equals_completion_time_at_final_event(self, name, live_hook):
         """Every golden workload, run under the live hook: the monitor's
         final ETA is the completion time, exactly."""
-        result = RECORDERS[name]()
+        result, _ = RECORDERS[name]()
         monitor = result.live
         assert monitor is not None, "hooked run must carry its monitor"
         snap = monitor.snapshot()
@@ -91,7 +91,7 @@ class TestMonotoneTightening:
         """Golden-file replay (events only, no engine state): the final
         ETA equals the completion time the engine itself reports."""
         plan, estimator, trace, _ = self.fold_with_trajectory()
-        completion = RECORDERS["explore_choose"]().completion_time
+        completion = RECORDERS["explore_choose"]()[0].completion_time
         assert estimator.eta is not None
         assert abs(estimator.eta - completion) <= 1e-9
         assert estimator.remaining_seconds == 0.0

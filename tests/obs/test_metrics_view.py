@@ -1,11 +1,14 @@
-"""The job-global ``Metrics`` as a derived view over the labeled registry."""
+"""The job-global ``Metrics``: a plain snapshot of the labeled registry."""
 
 from dataclasses import fields
 
 import pytest
 
+from repro import Cluster, GB, run_mdf
 from repro.cluster.metrics import _FLOAT_FIELDS, _MAX_FIELDS, Metrics
 from repro.obs import MetricsRegistry
+
+from ..conftest import build_filter_mdf
 
 
 class TestUnbound:
@@ -22,42 +25,40 @@ class TestUnbound:
         assert "memory_hit_ratio" in d and "total_time" in d
 
 
-class TestBound:
-    def test_reads_aggregate_registry(self):
+class TestFromRegistry:
+    def test_sums_over_children(self):
         reg = MetricsRegistry()
-        m = Metrics().bind(reg)
         reg.counter("evictions", node="w0", branch="b1").inc(2)
         reg.counter("evictions", node="w1").inc(3)
+        m = Metrics.from_registry(reg)
         assert m.evictions == 5
         assert isinstance(m.evictions, int)
 
-    def test_writes_forward_as_counter_delta(self):
+    def test_peak_fields_take_max(self):
         reg = MetricsRegistry()
-        m = Metrics().bind(reg)
-        m.tasks_executed += 4
-        m.tasks_executed += 1
-        assert reg.value("tasks_executed") == 5.0
-        assert m.tasks_executed == 5
-
-    def test_peak_field_reads_max_and_ratchets(self):
-        reg = MetricsRegistry()
-        m = Metrics().bind(reg)
-        m.peak_datasets_stored = 4
-        m.peak_datasets_stored = 2  # ratchet: lower writes ignored
-        assert m.peak_datasets_stored == 4
+        reg.gauge("peak_datasets_stored", node="w0").set_max(4)
+        reg.gauge("peak_datasets_stored", node="w1").set_max(2)
+        assert Metrics.from_registry(reg).peak_datasets_stored == 4
 
     def test_float_fields_stay_float(self):
         reg = MetricsRegistry()
-        m = Metrics().bind(reg)
-        m.time_io += 0.25
+        reg.counter("time_io", node="w0").inc(0.25)
+        m = Metrics.from_registry(reg)
         assert m.time_io == pytest.approx(0.25)
+        assert isinstance(m.time_io, float)
 
-    def test_hit_ratio_derives_from_registry(self):
+    def test_hit_ratio_is_derived(self):
         reg = MetricsRegistry()
-        m = Metrics().bind(reg)
         reg.counter("bytes_read_memory", node="w0").inc(75)
         reg.counter("bytes_read_disk", node="w0").inc(25)
-        assert m.memory_hit_ratio == pytest.approx(0.75)
+        assert Metrics.from_registry(reg).memory_hit_ratio == pytest.approx(0.75)
+
+    def test_snapshot_ignores_later_registry_updates(self):
+        reg = MetricsRegistry()
+        reg.counter("stages_executed").inc()
+        m = Metrics.from_registry(reg)
+        reg.counter("stages_executed").inc()
+        assert m.stages_executed == 1
 
 
 class TestMerge:
@@ -78,15 +79,38 @@ class TestMerge:
             expected = 1 if f.name in _MAX_FIELDS else 2
             assert getattr(merged, f.name) == expected, f.name
 
-    def test_merge_of_bound_views(self):
+    def test_merge_of_registry_snapshots(self):
         reg_a, reg_b = MetricsRegistry(), MetricsRegistry()
-        a, b = Metrics().bind(reg_a), Metrics().bind(reg_b)
         reg_a.counter("evictions", branch="x").inc(1)
         reg_b.counter("evictions", branch="y").inc(2)
-        merged = a.merge(b)
+        merged = Metrics.from_registry(reg_a).merge(Metrics.from_registry(reg_b))
         assert merged.evictions == 3
 
     def test_field_category_sets_are_subsets_of_fields(self):
         names = {f.name for f in fields(Metrics)}
         assert _MAX_FIELDS <= names
         assert _FLOAT_FIELDS <= names
+
+
+class TestResultSnapshot:
+    def test_finished_result_metrics_do_not_change(self):
+        """A later run on the same cluster (``reset=False``) keeps adding
+        to the registry; the first result's snapshot stays as it was."""
+        cluster = Cluster(num_workers=4, mem_per_worker=1 * GB)
+        r1 = run_mdf(build_filter_mdf(), cluster)
+        assert r1.metrics.stages_executed == 5
+        r2 = run_mdf(build_filter_mdf(), cluster, reset=False)
+        assert r1.metrics.stages_executed == 5
+        assert r1.metrics is not r2.metrics
+        # the registry is cumulative across the session
+        assert r2.metrics.stages_executed == 10
+
+    def test_cluster_metrics_is_a_fresh_snapshot(self):
+        cluster = Cluster(num_workers=2, mem_per_worker=1 * GB)
+        before = cluster.metrics
+        run_mdf(build_filter_mdf(), cluster, reset=False)
+        assert before.stages_executed == 0
+        assert cluster.metrics.stages_executed == 5
+        assert cluster.metrics is not cluster.metrics
+        with pytest.raises(AttributeError):
+            cluster.metrics = Metrics()

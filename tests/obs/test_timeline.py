@@ -3,7 +3,7 @@
 import pytest
 
 from repro import Cluster, MB, run_mdf
-from repro.obs import TelemetryConfig, TimelineSampler
+from repro.obs import MetricsRegistry, TelemetryConfig, TimelineSampler
 from ..conftest import build_nested_mdf
 
 
@@ -78,18 +78,7 @@ class TestSampler:
                 self.clock = FakeClock()
                 self.nodes = []
 
-            class _Obs:
-                @staticmethod
-                def max_value(name):
-                    return 0.0
-
-            obs = _Obs()
-
-            class _Metrics:
-                memory_hit_ratio = 1.0
-                evictions = 0
-
-            metrics = _Metrics()
+            obs = MetricsRegistry()
 
             @staticmethod
             def live_dataset_count():

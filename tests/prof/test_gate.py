@@ -118,3 +118,26 @@ class TestCli:
         assert "gate PASSED" in capsys.readouterr().out
         assert main(["--gate", path, "--inject-slowdown", "1.1"]) == 1
         assert "gate FAILED" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "edit, problem",
+        [
+            (lambda scenarios: scenarios.update(retired=1.0), "'retired' stale in"),
+            (lambda scenarios: scenarios.pop("quickstart"), "'quickstart' missing from"),
+        ],
+        ids=["stale-key", "missing-key"],
+    )
+    def test_baseline_mismatch_exits_2(self, tmp_path, capsys, edit, problem):
+        """A stale or incomplete baseline is a configuration error, not a
+        regression: one stderr line with the --update hint, exit code 2."""
+        path = tmp_path / "baselines.json"
+        run_gate(path, update=True)
+        payload = json.loads(path.read_text())
+        edit(payload["scenarios"])
+        path.write_text(json.dumps(payload))
+        assert main(["--gate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert problem in lines[0] and "--update" in lines[0]
